@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import pytest
 
+import repro.obs as obs
 from benchmarks.conftest import bench_scale, cached_problem, record_paper_context
 from repro.core.dispatch import mttkrp
 from repro.data.workloads import FIG5_WORKLOADS
-from repro.util.timing import PhaseTimer
 
 pytestmark = pytest.mark.bench
 
@@ -29,9 +29,10 @@ def test_fig6_breakdown(benchmark, wl, algorithm, mode_kind):
         pytest.skip("2-step is defined for internal modes only")
     X, U = cached_problem(shape, wl.C)
 
-    timer = PhaseTimer()
-    mttkrp(X, U, mode, method=algorithm, num_threads=1, timers=timer)
-    total = timer.total()
+    with obs.capture() as tracer:
+        mttkrp(X, U, mode, method=algorithm, num_threads=1)
+    phases = obs.phase_totals(tracer)
+    total = sum(phases.values())
     record_paper_context(
         benchmark,
         figure="fig6",
@@ -39,9 +40,7 @@ def test_fig6_breakdown(benchmark, wl, algorithm, mode_kind):
         algorithm=algorithm,
         mode=mode,
         threads=1,
-        phase_seconds={k: round(v, 6) for k, v in timer.snapshot().items()},
-        phase_fractions={
-            k: round(v / total, 4) for k, v in timer.snapshot().items()
-        },
+        phase_seconds={k: round(v, 6) for k, v in phases.items()},
+        phase_fractions={k: round(v / total, 4) for k, v in phases.items()},
     )
     benchmark(mttkrp, X, U, mode, method=algorithm, num_threads=1)

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import pytest
 
+import repro.obs as obs
 from benchmarks.conftest import record_paper_context
 from repro.core.dispatch import mttkrp
 from repro.core.mttkrp_baseline import mttkrp_gemm_lower_bound
 from repro.data.fmri import synthetic_fmri
 from repro.data.workloads import FMRI_REDUCED_4D
 from repro.tensor.generate import random_factors
-from repro.util.timing import PhaseTimer
 
 pytestmark = pytest.mark.bench
 
@@ -52,19 +52,19 @@ def _cases():
 )
 def test_fig8_fmri_mttkrp(benchmark, kind, mode, algorithm):
     X, U = _problem(kind)
-    timer = PhaseTimer()
     if algorithm == "gemm-baseline":
         scratch: dict = {}
-        mttkrp_gemm_lower_bound(
-            X, U, mode, num_threads=1, timers=timer, _scratch=scratch
-        )
+        with obs.capture() as tracer:
+            mttkrp_gemm_lower_bound(X, U, mode, num_threads=1, _scratch=scratch)
         record_paper_context(
             benchmark,
             figure="fig8",
             tensor=kind,
             mode=mode,
             algorithm=algorithm,
-            phase_seconds={k: round(v, 6) for k, v in timer.snapshot().items()},
+            phase_seconds={
+                k: round(v, 6) for k, v in obs.phase_totals(tracer).items()
+            },
         )
         benchmark(
             mttkrp_gemm_lower_bound,
@@ -75,13 +75,16 @@ def test_fig8_fmri_mttkrp(benchmark, kind, mode, algorithm):
             _scratch=scratch,
         )
     else:
-        mttkrp(X, U, mode, method=algorithm, num_threads=1, timers=timer)
+        with obs.capture() as tracer:
+            mttkrp(X, U, mode, method=algorithm, num_threads=1)
         record_paper_context(
             benchmark,
             figure="fig8",
             tensor=kind,
             mode=mode,
             algorithm=algorithm,
-            phase_seconds={k: round(v, 6) for k, v in timer.snapshot().items()},
+            phase_seconds={
+                k: round(v, 6) for k, v in obs.phase_totals(tracer).items()
+            },
         )
         benchmark(mttkrp, X, U, mode, method=algorithm, num_threads=1)

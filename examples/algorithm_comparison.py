@@ -13,13 +13,13 @@ Run:  python examples/algorithm_comparison.py [N] [entries]
 
 import sys
 
+import repro.obs as obs
 from repro.bench.timing import median_time
 from repro.core.dispatch import mttkrp
 from repro.core.mttkrp_baseline import mttkrp_gemm_lower_bound
 from repro.data.workloads import fig5_shape, scaled_shape
 from repro.tensor.generate import random_factors, random_tensor
 from repro.util import human_count, prod
-from repro.util.timing import PhaseTimer
 
 PHASES = ["reorder", "full_krp", "lr_krp", "gemm", "gemv", "reduce"]
 
@@ -47,7 +47,6 @@ def main() -> None:
             algos.append("twostep")
         algos += ["baseline", "gemm-lb"]
         for algo in algos:
-            timer = PhaseTimer()
             if algo == "gemm-lb":
                 scratch: dict = {}
                 seconds = median_time(
@@ -56,16 +55,18 @@ def main() -> None:
                     ),
                     repeats=3,
                 )
-                mttkrp_gemm_lower_bound(
-                    X, U, n, num_threads=1, timers=timer, _scratch=scratch
-                )
+                with obs.capture() as tracer:
+                    mttkrp_gemm_lower_bound(
+                        X, U, n, num_threads=1, _scratch=scratch
+                    )
             else:
                 seconds = median_time(
                     lambda: mttkrp(X, U, n, method=algo, num_threads=1),
                     repeats=3,
                 )
-                mttkrp(X, U, n, method=algo, num_threads=1, timers=timer)
-            snap = timer.snapshot()
+                with obs.capture() as tracer:
+                    mttkrp(X, U, n, method=algo, num_threads=1)
+            snap = obs.phase_totals(tracer)
             cells = "  ".join(
                 f"{snap.get(p, 0.0):9.4f}" if p in snap
                 else f"{'-':>9}"

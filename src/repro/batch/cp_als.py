@@ -19,6 +19,7 @@ work entirely.
 
 from __future__ import annotations
 
+import time
 from collections.abc import Sequence
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -30,7 +31,6 @@ from repro.batch.tensor import BatchedTensor
 from repro.cpd.kruskal import KruskalTensor
 from repro.obs import get_tracer
 from repro.parallel.config import use_backend
-from repro.util.timing import PhaseTimer, wall_time
 
 __all__ = ["cp_als_batched", "BatchedCPResult"]
 
@@ -55,8 +55,6 @@ class BatchedCPResult:
     iteration_times:
         Wall seconds per fleet iteration (the active-item count falls
         as items converge, so late entries cover fewer items).
-    timers:
-        Aggregated phase timings (MTTKRP phases + ``gram``/``solve``).
     tuning:
         The :class:`~repro.tune.cache.TuneRecord` behind the run's
         kernel pick when started with ``tune=True``, else ``None``.
@@ -68,7 +66,6 @@ class BatchedCPResult:
     converged: np.ndarray
     iterations: np.ndarray
     iteration_times: list[float] = field(default_factory=list)
-    timers: PhaseTimer = field(default_factory=PhaseTimer)
     tuning: object | None = None
 
     @property
@@ -192,7 +189,6 @@ def cp_als_batched(
             f"cannot decompose zero tensors (items {bad.tolist()})"
         )
 
-    timers = PhaseTimer()
     tracer = get_tracer()
     flat = batch.flat
 
@@ -204,7 +200,7 @@ def cp_als_batched(
     active = np.ones(B, dtype=bool)
     result = BatchedCPResult(
         factors=factors, weights=weights, fits=fits, converged=converged,
-        iterations=iterations, timers=timers,
+        iterations=iterations,
     )
 
     backend_scope = use_backend(backend) if backend is not None else nullcontext()
@@ -239,7 +235,7 @@ def cp_als_batched(
                 if m == 0:
                     break
                 with tracer.span(f"iter[{it}]", active=int(m)):
-                    t_start = wall_time()
+                    t_start = time.perf_counter()
                     if m == B:
                         sub = batch
                         sub_factors = factors
@@ -263,13 +259,13 @@ def cp_als_batched(
                             sub_factors.append(fbuf[:m])
                     sub_weights, M, h_all = _iterate_once(
                         sub, sub_factors, rank, it, method, num_threads,
-                        timers, tracer, ws,
+                        tracer, ws,
                     )
                     if m != B:
                         for k in range(N):
                             factors[k][idx] = sub_factors[k]
                     weights[idx] = sub_weights
-                    result.iteration_times.append(wall_time() - t_start)
+                    result.iteration_times.append(time.perf_counter() - t_start)
 
                     # Fit via the last mode's MTTKRP (see cp_als).
                     inner = np.einsum(
@@ -302,9 +298,7 @@ def cp_als_batched(
     return result
 
 
-def _iterate_once(
-    sub, sub_factors, rank, it, method, num_threads, timers, tracer, ws
-):
+def _iterate_once(sub, sub_factors, rank, it, method, num_threads, tracer, ws):
     """One full ALS sweep over the active sub-batch.
 
     Returns ``(weights, M, h_all)``: the per-item weights after the
@@ -315,7 +309,7 @@ def _iterate_once(
     m = sub.batch
     N = sub.ndim
     grams = ws.buffer("cpb.grams", (N, m, rank, rank))
-    with timers.phase("gram"), tracer.span("gram"):
+    with tracer.span("gram"):
         for k in range(N):
             np.matmul(
                 sub_factors[k].transpose(0, 2, 1), sub_factors[k],
@@ -327,16 +321,15 @@ def _iterate_once(
         with tracer.span(f"mode[{n}]"):
             M = mttkrp_batched(
                 sub, sub_factors, n, method=method,
-                num_threads=num_threads, timers=timers,
-                workspace=ws, slot="cpb.mttkrp",
+                num_threads=num_threads, workspace=ws, slot="cpb.mttkrp",
             )
-            with timers.phase("gram"), tracer.span("gram"):
+            with tracer.span("gram"):
                 H = ws.buffer("cpb.hadamard", (m, rank, rank))
                 H[...] = 1.0
                 for k in range(N):
                     if k != n:
                         np.multiply(H, grams[k], out=H)
-            with timers.phase("solve"), tracer.span("solve"):
+            with tracer.span("solve"):
                 U = _solve_update_batched(M, H)
                 # Same normalization schedule as cp_als: column 2-norms
                 # on the first iteration, max-norms (floored at 1) after.

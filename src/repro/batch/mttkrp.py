@@ -35,7 +35,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from contextlib import nullcontext
 from dataclasses import dataclass
-from time import perf_counter as _clock
 
 import numpy as np
 
@@ -47,7 +46,6 @@ from repro.obs import get_tracer
 from repro.parallel.backend import get_executor
 from repro.parallel.config import resolve_threads, use_backend
 from repro.tensor.layout import mode_products
-from repro.util.timing import NULL_TIMER, PhaseTimer
 from repro.util.validation import check_mode
 
 __all__ = [
@@ -130,7 +128,6 @@ def mttkrp_batched(
     n: int,
     method: str = "auto",
     num_threads: int | None = None,
-    timers: PhaseTimer | None = None,
     backend: str | None = None,
     **kwargs,
 ) -> np.ndarray:
@@ -153,9 +150,6 @@ def mttkrp_batched(
         Worker count; workers split the **batch axis** into contiguous
         blocks (items are independent, so no reduction is needed and
         any split is bit-identical).
-    timers:
-        Optional :class:`~repro.util.timing.PhaseTimer`
-        (``"full_krp"`` / ``"gemm"`` phases).
     backend:
         ``"thread"`` or ``"process"``; defaults to the package setting.
     **kwargs:
@@ -204,25 +198,24 @@ def mttkrp_batched(
     backend_scope = use_backend(backend) if backend is not None else nullcontext()
     with backend_scope:
         if not tracer.enabled:
-            return _run(batch, factors, n, method, num_threads, timers, kwargs)
+            return _run(batch, factors, n, method, num_threads, kwargs)
         with tracer.span(
             f"batch.mttkrp.{method}", mode=n, batch=batch.batch,
             shape=list(batch.shape), autotuned=autotuned,
         ) as span:
-            out = _run(batch, factors, n, method, num_threads, timers, kwargs)
+            out = _run(batch, factors, n, method, num_threads, kwargs)
             span.args["rank"] = int(out.shape[-1])
             return out
 
 
-def _run(batch, factors, n, method, num_threads, timers, kwargs):
+def _run(batch, factors, n, method, num_threads, kwargs):
     if method == "batched":
         return mttkrp_batched_stacked(
-            batch, factors, n, num_threads=num_threads, timers=timers,
-            **kwargs,
+            batch, factors, n, num_threads=num_threads, **kwargs
         )
     assert method == "batched-loop"
     return mttkrp_batched_loop(
-        batch, factors, n, num_threads=num_threads, timers=timers, **kwargs
+        batch, factors, n, num_threads=num_threads, **kwargs
     )
 
 
@@ -293,47 +286,46 @@ def _stacked_chunk(flat, shape, n, ops, b0, b1, out, pan, prod):
 
     ``out``/``pan``/``prod`` are the chunk-sized views; ``prod`` is the
     pre-reduction ``(bc, I^R_n, I_n, C)`` buffer (internal modes only).
-    Returns (krp seconds, gemm seconds).
     """
     bc = b1 - b0
-    t0 = _clock()
-    for i in range(bc):
-        khatri_rao([op[b0 + i] for op in ops], out=pan[i])
-    t1 = _clock()
+    tr = get_tracer()
+    with tr.span("full_krp", items=bc):
+        for i in range(bc):
+            khatri_rao([op[b0 + i] for op in ops], out=pan[i])
     N = len(shape)
     p = mode_products(shape, n)
-    if n == N - 1:
-        X3 = flat.reshape(flat.shape[0], p.size, p.left)
-        np.matmul(X3[b0:b1], pan, out=out)
-    elif n == 0:
-        X3 = flat.reshape(flat.shape[0], p.other, p.size)
-        np.matmul(X3[b0:b1].transpose(0, 2, 1), pan, out=out)
-    else:
-        X4 = flat.reshape(flat.shape[0], p.right, p.size, p.left)
-        K4 = pan.reshape(bc, p.right, p.left, pan.shape[-1])
-        np.matmul(X4[b0:b1], K4, out=prod)
-        np.sum(prod, axis=1, out=out)
-    return t1 - t0, _clock() - t1
+    with tr.span("gemm", items=bc):
+        if n == N - 1:
+            X3 = flat.reshape(flat.shape[0], p.size, p.left)
+            np.matmul(X3[b0:b1], pan, out=out)
+        elif n == 0:
+            X3 = flat.reshape(flat.shape[0], p.other, p.size)
+            np.matmul(X3[b0:b1].transpose(0, 2, 1), pan, out=out)
+        else:
+            X4 = flat.reshape(flat.shape[0], p.right, p.size, p.left)
+            K4 = pan.reshape(bc, p.right, p.left, pan.shape[-1])
+            np.matmul(X4[b0:b1], K4, out=prod)
+            np.sum(prod, axis=1, out=out)
 
 
 def _loop_item(flat, shape, n, ops, b, out2, pan, prod):
     """Item ``b`` with per-item 2-D arithmetic (the reference lane)."""
-    t0 = _clock()
-    khatri_rao([op[b] for op in ops], out=pan)
-    t1 = _clock()
+    tr = get_tracer()
+    with tr.span("full_krp"):
+        khatri_rao([op[b] for op in ops], out=pan)
     N = len(shape)
     p = mode_products(shape, n)
     row = flat[b]
-    if n == N - 1:
-        np.matmul(row.reshape(p.size, p.left), pan, out=out2)
-    elif n == 0:
-        np.matmul(row.reshape(p.other, p.size).T, pan, out=out2)
-    else:
-        X3 = row.reshape(p.right, p.size, p.left)
-        K3 = pan.reshape(p.right, p.left, pan.shape[-1])
-        np.matmul(X3, K3, out=prod)
-        np.sum(prod, axis=0, out=out2)
-    return t1 - t0, _clock() - t1
+    with tr.span("gemm"):
+        if n == N - 1:
+            np.matmul(row.reshape(p.size, p.left), pan, out=out2)
+        elif n == 0:
+            np.matmul(row.reshape(p.other, p.size).T, pan, out=out2)
+        else:
+            X3 = row.reshape(p.right, p.size, p.left)
+            K3 = pan.reshape(p.right, p.left, pan.shape[-1])
+            np.matmul(X3, K3, out=prod)
+            np.sum(prod, axis=0, out=out2)
 
 
 # --------------------------------------------------------------------- #
@@ -354,24 +346,16 @@ def _k_batched_stacked(
     out: np.ndarray,
     panel: np.ndarray,
     prod: np.ndarray | None,
-    krp_seconds: np.ndarray,
-    gemm_seconds: np.ndarray,
 ) -> None:
-    tk = 0.0
-    tg = 0.0
     pan = panel[worker]
     pr = None if prod is None else prod[worker]
     for b0 in range(start, stop, chunk):
         b1 = min(b0 + chunk, stop)
         bc = b1 - b0
-        k, g = _stacked_chunk(
+        _stacked_chunk(
             flat, shape, n, ops, b0, b1, out[b0:b1], pan[:bc],
             None if pr is None else pr[:bc],
         )
-        tk += k
-        tg += g
-    krp_seconds[worker] = tk
-    gemm_seconds[worker] = tg
 
 
 def _k_batched_loop(
@@ -385,19 +369,11 @@ def _k_batched_loop(
     out: np.ndarray,
     panel: np.ndarray,
     prod: np.ndarray | None,
-    krp_seconds: np.ndarray,
-    gemm_seconds: np.ndarray,
 ) -> None:
-    tk = 0.0
-    tg = 0.0
     pan = panel[worker]
     pr = None if prod is None else prod[worker]
     for b in range(start, stop):
-        k, g = _loop_item(flat, shape, n, ops, b, out[b], pan, pr)
-        tk += k
-        tg += g
-    krp_seconds[worker] = tk
-    gemm_seconds[worker] = tg
+        _loop_item(flat, shape, n, ops, b, out[b], pan, pr)
 
 
 # --------------------------------------------------------------------- #
@@ -410,15 +386,17 @@ def mttkrp_batched_stacked(
     factors: Sequence[np.ndarray],
     n: int,
     num_threads: int | None = None,
-    timers: PhaseTimer | None = None,
     workspace=None,
     slot: str = "batch",
     cache_bytes: float | None = None,
 ) -> np.ndarray:
-    """The stacked lane: chunked panels + one batched GEMM per chunk."""
+    """The stacked lane: chunked panels + one batched GEMM per chunk.
+
+    Traced phases (:mod:`repro.obs` spans): ``"full_krp"`` and ``"gemm"``,
+    one pair per chunk.
+    """
     n, rank = _validate(batch, factors, n)
     T = resolve_threads(num_threads)
-    t = timers if timers is not None else NULL_TIMER
     tr = get_tracer()
     record_mttkrp_cost(
         tr, batch.shape, n, rank, "batched", T, cache_bytes=cache_bytes,
@@ -451,18 +429,13 @@ def mttkrp_batched_stacked(
             )
             if internal else None
         )
-        tk = tg = 0.0
         for b0 in range(0, B, plan.chunk):
             b1 = min(b0 + plan.chunk, B)
             bc = b1 - b0
-            k, g = _stacked_chunk(
+            _stacked_chunk(
                 flat, batch.shape, n, ops, b0, b1, out[b0:b1], pan[:bc],
                 None if prod is None else prod[:bc],
             )
-            tk += k
-            tg += g
-        t.add("full_krp", tk)
-        t.add("gemm", tg)
         tr.add_counter("gemm_calls", plan.num_chunks)
         return out
 
@@ -480,8 +453,6 @@ def mttkrp_batched_stacked(
             )
             if internal else None
         )
-        krp_seconds = workspace.buffer(f"{slot}.krp_seconds", (T,))
-        gemm_seconds = workspace.buffer(f"{slot}.gemm_seconds", (T,))
     else:
         out = ex.allocate_shared((B, p.size, rank), dtype=dtype)
         panel = ex.allocate_shared(
@@ -493,19 +464,12 @@ def mttkrp_batched_stacked(
             )
             if internal else None
         )
-        krp_seconds = ex.allocate_shared((T,))
-        gemm_seconds = ex.allocate_shared((T,))
     ex.parallel_for(
         _k_batched_stacked,
         B,
-        args=(
-            flat, batch.shape, n, ops, plan.chunk, out, panel, prod,
-            krp_seconds, gemm_seconds,
-        ),
+        args=(flat, batch.shape, n, ops, plan.chunk, out, panel, prod),
         label="batch.mttkrp.stacked",
     )
-    t.add("full_krp", float(krp_seconds.max()))
-    t.add("gemm", float(gemm_seconds.max()))
     tr.add_counter("gemm_calls", plan.num_chunks)
     return out if owned else out.copy()
 
@@ -515,7 +479,6 @@ def mttkrp_batched_loop(
     factors: Sequence[np.ndarray],
     n: int,
     num_threads: int | None = None,
-    timers: PhaseTimer | None = None,
     workspace=None,
     slot: str = "batch",
     cache_bytes: float | None = None,
@@ -529,7 +492,6 @@ def mttkrp_batched_loop(
     """
     n, rank = _validate(batch, factors, n)
     T = resolve_threads(num_threads)
-    t = timers if timers is not None else NULL_TIMER
     tr = get_tracer()
     record_mttkrp_cost(
         tr, batch.shape, n, rank, "batched", T, cache_bytes=cache_bytes,
@@ -557,13 +519,8 @@ def mttkrp_batched_loop(
             )
             if internal else None
         )
-        tk = tg = 0.0
         for b in range(B):
-            k, g = _loop_item(flat, batch.shape, n, ops, b, out[b], pan, prod)
-            tk += k
-            tg += g
-        t.add("full_krp", tk)
-        t.add("gemm", tg)
+            _loop_item(flat, batch.shape, n, ops, b, out[b], pan, prod)
         tr.add_counter("gemm_calls", B)
         return out
 
@@ -580,8 +537,6 @@ def mttkrp_batched_loop(
             )
             if internal else None
         )
-        krp_seconds = workspace.buffer(f"{slot}.krp_seconds", (T,))
-        gemm_seconds = workspace.buffer(f"{slot}.gemm_seconds", (T,))
     else:
         out = ex.allocate_shared((B, p.size, rank), dtype=dtype)
         panel = ex.allocate_shared((T, p.other, rank), dtype=dtype)
@@ -589,18 +544,11 @@ def mttkrp_batched_loop(
             ex.allocate_shared((T, p.right, p.size, rank), dtype=dtype)
             if internal else None
         )
-        krp_seconds = ex.allocate_shared((T,))
-        gemm_seconds = ex.allocate_shared((T,))
     ex.parallel_for(
         _k_batched_loop,
         B,
-        args=(
-            flat, batch.shape, n, ops, out, panel, prod,
-            krp_seconds, gemm_seconds,
-        ),
+        args=(flat, batch.shape, n, ops, out, panel, prod),
         label="batch.mttkrp.loop",
     )
-    t.add("full_krp", float(krp_seconds.max()))
-    t.add("gemm", float(gemm_seconds.max()))
     tr.add_counter("gemm_calls", B)
     return out if owned else out.copy()

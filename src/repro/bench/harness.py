@@ -38,7 +38,6 @@ from repro.reference.tensor_toolbox import cp_als_ttb
 from repro.tensor.dense import DenseTensor
 from repro.tensor.generate import random_factors
 from repro.util import prod
-from repro.util.timing import PhaseTimer
 
 __all__ = [
     "KRPPoint",
@@ -165,8 +164,8 @@ def run_mttkrp_point(
 ) -> MTTKRPPoint:
     """Measure one MTTKRP configuration (Figure 5 protocol: median of k).
 
-    The phase breakdown and obs counters of one extra instrumented
-    repetition are attached (Figure 6/8); the timed repetitions run
+    The phase breakdown (``obs.phase_totals``) and obs counters come from
+    one extra traced repetition (Figure 6/8); the timed repetitions run
     untraced.
     """
     C = np.asarray(factors[0]).shape[1]
@@ -178,12 +177,6 @@ def run_mttkrp_point(
             mttkrp_gemm_lower_bound(
                 tensor, factors, mode, num_threads=threads, _scratch=scratch
             )
-
-        def instrumented(timer: PhaseTimer) -> None:
-            mttkrp_gemm_lower_bound(
-                tensor, factors, mode, num_threads=threads,
-                timers=timer, _scratch=scratch,
-            )
     else:
 
         def kernel() -> None:
@@ -191,15 +184,9 @@ def run_mttkrp_point(
                 tensor, factors, mode, method=algorithm, num_threads=threads
             )
 
-        def instrumented(timer: PhaseTimer) -> None:
-            mttkrp(
-                tensor, factors, mode, method=algorithm,
-                num_threads=threads, timers=timer,
-            )
-
     samples = time_samples(kernel, repeats=repeats)
-    timer = PhaseTimer()
-    counters = _captured_counters(lambda: instrumented(timer))
+    with obs.capture() as tracer:
+        kernel()
     return MTTKRPPoint(
         algorithm=algorithm,
         shape=tensor.shape,
@@ -207,9 +194,9 @@ def run_mttkrp_point(
         C=int(C),
         threads=int(threads),
         seconds=float(np.median(samples)),
-        phases=timer.snapshot(),
+        phases=obs.phase_totals(tracer),
         stats=_stats_from_samples(samples),
-        counters=counters,
+        counters=obs.counters_snapshot(tracer),
     )
 
 

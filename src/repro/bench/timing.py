@@ -14,16 +14,7 @@ from collections.abc import Callable
 
 import numpy as np
 
-from repro.util.timing import PhaseTimer, wall_time
-
-__all__ = [
-    "median_time",
-    "mean_time",
-    "time_once",
-    "time_samples",
-    "PhaseTimer",
-    "wall_time",
-]
+__all__ = ["median_time", "mean_time", "time_once", "time_samples"]
 
 
 def time_once(fn: Callable[[], object]) -> float:

@@ -22,7 +22,6 @@ from repro.core.mttkrp_twostep import mttkrp_twostep
 from repro.obs import get_tracer
 from repro.parallel.config import use_backend
 from repro.tensor.dense import DenseTensor
-from repro.util.timing import PhaseTimer
 from repro.util.validation import check_mode
 
 __all__ = ["mttkrp", "MTTKRP_METHODS"]
@@ -55,7 +54,6 @@ def mttkrp(
     n: int,
     method: str = "auto",
     num_threads: int | None = None,
-    timers: PhaseTimer | None = None,
     backend: str | None = None,
     **kwargs,
 ) -> np.ndarray:
@@ -102,8 +100,6 @@ def mttkrp(
         * ``"baseline"`` — explicit reorder + full KRP + single GEMM.
     num_threads:
         Thread count; defaults to the package-wide setting.
-    timers:
-        Optional :class:`~repro.util.timing.PhaseTimer` for breakdowns.
     backend:
         Execution backend for the parallel regions, ``"thread"`` or
         ``"process"`` (see :mod:`repro.parallel.backend`); defaults to the
@@ -176,7 +172,7 @@ def mttkrp(
     backend_scope = use_backend(backend) if backend is not None else nullcontext()
     with backend_scope:
         if not tracer.enabled:
-            return _run(tensor, factors, n, method, num_threads, timers, kwargs)
+            return _run(tensor, factors, n, method, num_threads, kwargs)
         with tracer.span(
             f"mttkrp.{method}", mode=n, shape=list(tensor.shape),
             autotuned=autotuned,
@@ -185,33 +181,21 @@ def mttkrp(
             # entry (record_mttkrp_cost) — they accumulate on this open
             # span; the dimtree path's phases carry theirs on the nested
             # partial/node spans.
-            out = _run(tensor, factors, n, method, num_threads, timers, kwargs)
+            out = _run(tensor, factors, n, method, num_threads, kwargs)
             span.args["rank"] = int(out.shape[1])
             return out
 
 
-def _run(tensor, factors, n, method, num_threads, timers, kwargs):
+def _run(tensor, factors, n, method, num_threads, kwargs):
     if method == "onestep":
-        return mttkrp_onestep(
-            tensor, factors, n, num_threads=num_threads, timers=timers, **kwargs
-        )
+        return mttkrp_onestep(tensor, factors, n, num_threads=num_threads, **kwargs)
     if method == "onestep-seq":
-        return mttkrp_onestep_sequential(
-            tensor, factors, n, timers=timers, **kwargs
-        )
+        return mttkrp_onestep_sequential(tensor, factors, n, **kwargs)
     if method == "twostep":
-        return mttkrp_twostep(
-            tensor, factors, n, num_threads=num_threads, timers=timers, **kwargs
-        )
+        return mttkrp_twostep(tensor, factors, n, num_threads=num_threads, **kwargs)
     if method == "blocked":
-        return mttkrp_blocked(
-            tensor, factors, n, num_threads=num_threads, timers=timers, **kwargs
-        )
+        return mttkrp_blocked(tensor, factors, n, num_threads=num_threads, **kwargs)
     if method == "dimtree":
-        return mttkrp_dimtree(
-            tensor, factors, n, num_threads=num_threads, timers=timers, **kwargs
-        )
+        return mttkrp_dimtree(tensor, factors, n, num_threads=num_threads, **kwargs)
     assert method == "baseline"
-    return mttkrp_baseline(
-        tensor, factors, n, num_threads=num_threads, timers=timers, **kwargs
-    )
+    return mttkrp_baseline(tensor, factors, n, num_threads=num_threads, **kwargs)

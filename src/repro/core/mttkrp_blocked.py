@@ -42,6 +42,7 @@ model (:func:`repro.core.flops.blocked_cost`) and the docs
 
 from __future__ import annotations
 
+import time
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -55,10 +56,11 @@ from repro.parallel.backend import get_executor
 from repro.parallel.config import resolve_threads
 from repro.tensor.dense import DenseTensor
 from repro.tensor.layout import mode_products
-from repro.util.timing import NULL_TIMER, PhaseTimer, wall_time as _clock
 from repro.util.validation import check_factor_matrices, check_mode
 
 __all__ = ["mttkrp_blocked", "choose_tiles", "TilePlan"]
+
+_clock = time.perf_counter
 
 
 @dataclass(frozen=True)
@@ -167,7 +169,6 @@ def mttkrp_blocked(
     factors: Sequence[np.ndarray],
     n: int,
     num_threads: int | None = None,
-    timers: PhaseTimer | None = None,
     cache_bytes: float | None = None,
 ) -> np.ndarray:
     """Communication-aware blocked MTTKRP for mode ``n``.
@@ -186,9 +187,6 @@ def mttkrp_blocked(
         Output mode.
     num_threads:
         Worker count ``T``; defaults to the package-wide setting.
-    timers:
-        Optional phase timer.  Phases: ``"full_krp"`` (external) or
-        ``"lr_krp"`` (internal), ``"gemm"``, and ``"reduce"`` (``T > 1``).
     cache_bytes:
         Fast-memory capacity for tile sizing; defaults to the host
         machine model's calibrated/default
@@ -198,10 +196,12 @@ def mttkrp_blocked(
     -------
     numpy.ndarray
         The ``I_n x C`` MTTKRP result.
+
+    Traced phases (:mod:`repro.obs` spans): ``"full_krp"`` (external) or
+    ``"lr_krp"`` (internal), ``"gemm"``, and ``"reduce"`` (``T > 1``).
     """
     n, rank = _validate(tensor, factors, n)
     T = resolve_threads(num_threads)
-    t = timers if timers is not None else NULL_TIMER
     record_mttkrp_cost(
         get_tracer(), tensor.shape, n, rank, "blocked", T,
         cache_bytes=cache_bytes,
@@ -215,8 +215,8 @@ def mttkrp_blocked(
         cache_bytes=cache_bytes,
     )
     if plan.external:
-        return _blocked_external(tensor, factors, n, rank, T, t, plan, dtype)
-    return _blocked_internal(tensor, factors, n, rank, T, t, plan, dtype)
+        return _blocked_external(tensor, factors, n, rank, T, plan, dtype)
+    return _blocked_internal(tensor, factors, n, rank, T, plan, dtype)
 
 
 # --------------------------------------------------------------------- #
@@ -231,42 +231,43 @@ def _external_range(
     tile: int,
     kstart: int,
     kstop: int,
-    tracer=None,
-) -> tuple[float, float, int]:
+) -> int:
     """Accumulate column tiles ``[kstart, kstop)`` into ``Mt``.
 
     Tile ``k`` covers columns ``[k*tile, (k+1)*tile)``; the KRP tile for
     that range is formed mid-stream into a reused buffer (never touching
     memory at steady state) and immediately consumed by one
-    GEMM-accumulate.  Returns (krp seconds, gemm seconds, gemm calls).
+    GEMM-accumulate.  Returns the GEMM call count.
     """
     total_cols = Xn.shape[1]
     C = Mt.shape[1]
     kbuf = np.empty((tile, C), dtype=np.result_type(*operands), order="C")
     gbuf = np.empty(Mt.shape, dtype=Mt.dtype, order="C")
+    tracer = get_tracer()
+    traced = tracer.enabled
     tk = tg = 0.0
-    calls = 0
-    traced = tracer is not None and tracer.enabled
-    span_start = _clock()
+    span_start = _clock() if traced else 0.0
     for k in range(kstart, kstop):
         c0 = k * tile
         c1 = min(c0 + tile, total_cols)
-        t0 = _clock()
+        if traced:
+            t0 = _clock()
         Kt = krp_rows(operands, c0, c1, out=kbuf[: c1 - c0])
-        t1 = _clock()
+        if traced:
+            t1 = _clock()
         np.matmul(Xn[:, c0:c1], Kt, out=gbuf)
         Mt += gbuf
-        t2 = _clock()
-        tk += t1 - t0
-        tg += t2 - t1
-        calls += 1
+        if traced:
+            tk += t1 - t0
+            tg += _clock() - t1
+    calls = max(kstop - kstart, 0)
     if traced and calls:
         # One span pair per worker range (per-tile spans would dominate
         # the trace at fine tiles).
         mid = span_start + tk
         tracer.record("full_krp", span_start, mid, tiles=calls)
         tracer.record("gemm", mid, mid + tg, tiles=calls)
-    return tk, tg, calls
+    return calls
 
 
 def _k_blocked_external(
@@ -278,8 +279,6 @@ def _k_blocked_external(
     operands: list[np.ndarray],
     tile: int,
     out: np.ndarray,
-    krp_seconds: np.ndarray,
-    gemm_seconds: np.ndarray,
     gemm_calls: np.ndarray,
 ) -> None:
     """Region kernel: one worker's contiguous range of column tiles.
@@ -289,11 +288,8 @@ def _k_blocked_external(
     the shared buffer.  All shared writes are indexed by ``worker``.
     """
     Xn = tensor.unfold_mode0() if n == 0 else tensor.unfold_last()
-    krp_seconds[worker], gemm_seconds[worker], gemm_calls[worker] = (
-        _external_range(
-            Xn, operands, out[worker], tile, start, stop,
-            tracer=get_tracer(),
-        )
+    gemm_calls[worker] = _external_range(
+        Xn, operands, out[worker], tile, start, stop
     )
 
 
@@ -303,7 +299,6 @@ def _blocked_external(
     n: int,
     rank: int,
     T: int,
-    t,
     plan: TilePlan,
     dtype,
 ) -> np.ndarray:
@@ -314,32 +309,21 @@ def _blocked_external(
     if T == 1:
         Xn = tensor.unfold_mode0() if n == 0 else tensor.unfold_last()
         M = np.zeros((p.size, rank), dtype=dtype, order="C")
-        tk, tg, calls = _external_range(
-            Xn, operands, M, plan.tile, 0, plan.num_tasks, tracer=tr
-        )
-        t.add("full_krp", tk)
-        t.add("gemm", tg)
+        calls = _external_range(Xn, operands, M, plan.tile, 0, plan.num_tasks)
         tr.add_counter("gemm_calls", calls)
         return M
 
     ex = get_executor(T)
     out = ex.allocate_private(T, (p.size, rank), dtype=dtype)
-    krp_seconds = ex.allocate_shared((T,))
-    gemm_seconds = ex.allocate_shared((T,))
     gemm_calls = ex.allocate_shared((T,), dtype=np.int64)
     ex.parallel_for(
         _k_blocked_external,
         plan.num_tasks,
-        args=(
-            tensor, n, operands, plan.tile, out,
-            krp_seconds, gemm_seconds, gemm_calls,
-        ),
+        args=(tensor, n, operands, plan.tile, out, gemm_calls),
         label="mttkrp.blocked.external",
     )
-    t.add("full_krp", float(krp_seconds.max()))
-    t.add("gemm", float(gemm_seconds.max()))
     tr.add_counter("gemm_calls", int(gemm_calls.sum()))
-    with t.phase("reduce"), tr.span("reduce"):
+    with tr.span("reduce"):
         return ex.reduce(out, label="mttkrp.reduce").copy()
 
 
@@ -356,42 +340,33 @@ def _internal_tiled_range(
     tile: int,
     jstart: int,
     jstop: int,
-    tracer=None,
-) -> tuple[float, float, int]:
+) -> int:
     """Accumulate matricization blocks ``[jstart, jstop)`` into ``Mt``.
 
     The right-KRP rows for the whole range are formed once (a ``range x C``
     strip, cache-resident); each block's broadcast ``K_t`` is then built
     one ``tile x C`` slice at a time in a reused buffer and consumed by a
-    GEMM-accumulate, so no KRP panel ever reaches memory.
+    GEMM-accumulate, so no KRP panel ever reaches memory.  Returns the
+    GEMM call count.
     """
     ILn = KL.shape[0]
     C = KL.shape[1]
-    t0 = _clock()
-    kr = krp_rows(right_ops, jstart, jstop)  # (range, C), small
-    t1 = _clock()
+    tracer = get_tracer()
+    with tracer.span("lr_krp", blocks=jstop - jstart):
+        kr = krp_rows(right_ops, jstart, jstop)  # (range, C), small
     ktile = np.empty((tile, C), dtype=np.result_type(kr, KL), order="C")
     gbuf = np.empty(Mt.shape, dtype=Mt.dtype, order="C")
-    tk = t1 - t0
-    tg = 0.0
-    calls = 0
-    traced = tracer is not None and tracer.enabled
-    for j in range(jstart, jstop):
-        krj = kr[j - jstart]
-        g0 = _clock()
-        for l0 in range(0, ILn, tile):
-            l1 = min(l0 + tile, ILn)
-            # K_t tile: K_R(j,:) broadcast-Hadamard K_L rows [l0, l1).
-            np.multiply(krj[None, :], KL[l0:l1], out=ktile[: l1 - l0])
-            np.matmul(blocks3[j][:, l0:l1], ktile[: l1 - l0], out=gbuf)
-            Mt += gbuf
-            calls += 1
-        tg += _clock() - g0
-    if traced:
-        tracer.record("lr_krp", t0, t1, blocks=jstop - jstart)
-        if calls:
-            tracer.record("gemm", t1, t1 + tg, tiles=calls)
-    return tk, tg, calls
+    calls = max(jstop - jstart, 0) * -(-ILn // tile)
+    with tracer.span("gemm", tiles=calls):
+        for j in range(jstart, jstop):
+            krj = kr[j - jstart]
+            for l0 in range(0, ILn, tile):
+                l1 = min(l0 + tile, ILn)
+                # K_t tile: K_R(j,:) broadcast-Hadamard K_L rows [l0, l1).
+                np.multiply(krj[None, :], KL[l0:l1], out=ktile[: l1 - l0])
+                np.matmul(blocks3[j][:, l0:l1], ktile[: l1 - l0], out=gbuf)
+                Mt += gbuf
+    return calls
 
 
 def _k_blocked_internal(
@@ -404,17 +379,12 @@ def _k_blocked_internal(
     KL: np.ndarray,
     tile: int,
     out: np.ndarray,
-    krp_seconds: np.ndarray,
-    gemm_seconds: np.ndarray,
     gemm_calls: np.ndarray,
 ) -> None:
     """Region kernel: one worker's contiguous range of matricization blocks."""
     blocks3 = tensor.mode_blocks_view(n)  # (IRn, In, ILn)
-    krp_seconds[worker], gemm_seconds[worker], gemm_calls[worker] = (
-        _internal_tiled_range(
-            blocks3, right_ops, KL, out[worker], tile, jstart, jstop,
-            tracer=get_tracer(),
-        )
+    gemm_calls[worker] = _internal_tiled_range(
+        blocks3, right_ops, KL, out[worker], tile, jstart, jstop
     )
 
 
@@ -424,7 +394,6 @@ def _blocked_internal(
     n: int,
     rank: int,
     T: int,
-    t,
     plan: TilePlan,
     dtype,
 ) -> np.ndarray:
@@ -433,7 +402,7 @@ def _blocked_internal(
     right_ops = [np.asarray(factors[k]) for k in range(tensor.ndim - 1, n, -1)]
     left_ops = [np.asarray(factors[k]) for k in range(n - 1, -1, -1)]
 
-    with t.phase("lr_krp"), tr.span("lr_krp"):
+    with tr.span("lr_krp"):
         # K_L = U_{n-1} krp ... krp U_0, formed once.  Unlike the 1-step
         # kernel this is the *only* KRP that touches memory; the broadcast
         # K_t tiles stay in the workers' cache-resident buffers.
@@ -441,31 +410,21 @@ def _blocked_internal(
 
     if T == 1:
         M = np.zeros((p.size, rank), dtype=dtype, order="C")
-        tk, tg, calls = _internal_tiled_range(
-            tensor.mode_blocks_view(n), right_ops, KL, M,
-            plan.tile, 0, p.right, tracer=tr,
+        calls = _internal_tiled_range(
+            tensor.mode_blocks_view(n), right_ops, KL, M, plan.tile, 0, p.right
         )
-        t.add("lr_krp", tk)
-        t.add("gemm", tg)
         tr.add_counter("gemm_calls", calls)
         return M
 
     ex = get_executor(T)
     out = ex.allocate_private(T, (p.size, rank), dtype=dtype)
-    krp_seconds = ex.allocate_shared((T,))
-    gemm_seconds = ex.allocate_shared((T,))
     gemm_calls = ex.allocate_shared((T,), dtype=np.int64)
     ex.parallel_for(
         _k_blocked_internal,
         p.right,
-        args=(
-            tensor, n, right_ops, KL, plan.tile, out,
-            krp_seconds, gemm_seconds, gemm_calls,
-        ),
+        args=(tensor, n, right_ops, KL, plan.tile, out, gemm_calls),
         label="mttkrp.blocked.internal",
     )
-    t.add("lr_krp", float(krp_seconds.max()))
-    t.add("gemm", float(gemm_seconds.max()))
     tr.add_counter("gemm_calls", int(gemm_calls.sum()))
-    with t.phase("reduce"), tr.span("reduce"):
+    with tr.span("reduce"):
         return ex.reduce(out, label="mttkrp.reduce").copy()

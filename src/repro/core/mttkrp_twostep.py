@@ -45,7 +45,6 @@ from repro.parallel.config import get_backend, resolve_threads
 from repro.tensor.dense import DenseTensor
 from repro.tensor.layout import mode_products
 from repro.tensor.ttv import multi_ttv
-from repro.util.timing import NULL_TIMER, PhaseTimer
 from repro.util.validation import check_factor_matrices, check_mode
 
 __all__ = ["mttkrp_twostep", "mttkrp_twostep_blocked", "choose_side"]
@@ -68,7 +67,6 @@ def mttkrp_twostep(
     n: int,
     num_threads: int | None = None,
     side: str = "auto",
-    timers: PhaseTimer | None = None,
 ) -> np.ndarray:
     """Algorithm 4: 2-step MTTKRP for an internal mode.
 
@@ -85,10 +83,10 @@ def mttkrp_twostep(
         setting.
     side:
         ``"auto"`` (paper rule), ``"left"``, or ``"right"``.
-    timers:
-        Optional :class:`~repro.util.timing.PhaseTimer`; phases are
-        ``"lr_krp"`` (forming both partial KRPs), ``"gemm"`` (the partial
-        MTTKRP) and ``"gemv"`` (the multi-TTV).
+
+    Traced phases (:mod:`repro.obs` spans): ``"lr_krp"`` (forming both
+    partial KRPs), ``"gemm"`` (the partial MTTKRP) and ``"gemv"`` (the
+    multi-TTV).
 
     Returns
     -------
@@ -110,12 +108,11 @@ def mttkrp_twostep(
     if side not in ("auto", "left", "right"):
         raise ValueError(f"side must be 'auto', 'left' or 'right', got {side!r}")
     T = resolve_threads(num_threads)
-    t = timers if timers is not None else NULL_TIMER
     tr = get_tracer()
     N = tensor.ndim
     record_mttkrp_cost(tr, tensor.shape, n, rank, "twostep", T)
 
-    with t.phase("lr_krp"), tr.span("lr_krp"):
+    with tr.span("lr_krp"):
         # K_L = U_{n-1} krp ... krp U_0 (mode-0 index fastest);
         # K_R = U_{N-1} krp ... krp U_{n+1} (mode-(n+1) index fastest).
         KL = khatri_rao([np.asarray(factors[k]) for k in range(n - 1, -1, -1)])
@@ -149,7 +146,7 @@ def mttkrp_twostep(
             buf = _intermediate_buffer(C * cols)
             # Step 1 (Fig. 3c): L = X_(0:n-1)^T . K_L; the transpose view is
             # row-major, so this is a single well-shaped GEMM.
-            with t.phase("gemm"), tr.span("gemm", side="left"):
+            with tr.span("gemm", side="left"):
                 # Computed transposed (L^T = K_L^T . X_(0:n-1)) so the
                 # C-contiguous GEMM output *is* the natural layout of L —
                 # same BLAS call, no data movement afterwards.
@@ -174,7 +171,7 @@ def mttkrp_twostep(
             # natural layout (rows of L linearize modes n.., mode n fastest),
             # reinterpreted for free.
             L = DenseTensor(flat, tensor.shape[n:] + (C,))
-            with t.phase("gemv"), tr.span("gemv", side="left"):
+            with tr.span("gemv", side="left"):
                 # Step 2 (Fig. 3d): contract trailing modes against K_R's
                 # columns, one GEMV per rank column.
                 tr.add_counter("gemv_calls", C)
@@ -186,7 +183,7 @@ def mttkrp_twostep(
             cols = int(np.prod(tensor.shape[: n + 1]))
             buf = _intermediate_buffer(C * cols)
             # Step 1 (Fig. 3a): R = X_(0:n) . K_R on the column-major view.
-            with t.phase("gemm"), tr.span("gemm", side="right"):
+            with tr.span("gemm", side="right"):
                 # Transposed form (R^T = K_R^T . X_(0:n)^T) for the same
                 # reason: the GEMM writes R directly in natural layout.
                 tr.add_counter("gemm_calls", 1)
@@ -207,7 +204,7 @@ def mttkrp_twostep(
                     )
                     flat = buf
             R = DenseTensor(flat, tensor.shape[: n + 1] + (C,))
-            with t.phase("gemv"), tr.span("gemv", side="right"):
+            with tr.span("gemv", side="right"):
                 # Step 2 (Fig. 3b): contract leading modes against K_L's
                 # columns.
                 tr.add_counter("gemv_calls", C)
@@ -224,7 +221,6 @@ def mttkrp_twostep_blocked(
     max_intermediate_entries: int,
     num_threads: int | None = None,
     side: str = "auto",
-    timers: PhaseTimer | None = None,
 ) -> np.ndarray:
     """Constant-memory 2-step MTTKRP via blocking (Vannieuwenhoven et al.).
 
@@ -275,12 +271,12 @@ def mttkrp_twostep_blocked(
     if max_intermediate_entries <= 0:
         raise ValueError("max_intermediate_entries must be positive")
     T = resolve_threads(num_threads)
-    t = timers if timers is not None else NULL_TIMER
+    tr = get_tracer()
     N = tensor.ndim
     p = mode_products(tensor.shape, n)
     rank = np.asarray(factors[0]).shape[1]
 
-    with t.phase("lr_krp"):
+    with tr.span("lr_krp"):
         KL = khatri_rao([np.asarray(factors[k]) for k in range(n - 1, -1, -1)])
         KR = khatri_rao([np.asarray(factors[k]) for k in range(N - 1, n, -1)])
     if side == "auto":
@@ -294,12 +290,12 @@ def mttkrp_twostep_blocked(
             X = tensor.unfold_front(n)  # (ILn*In, IRn) column-major view
             for i0 in range(0, p.size, group):
                 i1 = min(i0 + group, p.size)
-                with t.phase("gemm"):
+                with tr.span("gemm"):
                     # Contiguous row slice of the column-major view.
                     Rb = KR.T @ X[i0 * p.left : i1 * p.left].T
                     # Rb is (C, (i1-i0)*ILn) C-contiguous == natural layout
                     # of the block of R.
-                with t.phase("gemv"):
+                with tr.span("gemv"):
                     for j in range(rank):
                         sub = Rb[j].reshape((p.left, i1 - i0), order="F")
                         M[i0:i1, j] = KL[:, j] @ sub
@@ -309,10 +305,10 @@ def mttkrp_twostep_blocked(
             XT = tensor.unfold_front(n - 1).T  # (In*IRn, ILn) row-major view
             for r0 in range(0, p.right, group):
                 r1 = min(r0 + group, p.right)
-                with t.phase("gemm"):
+                with tr.span("gemm"):
                     Lb = KL.T @ XT[r0 * p.size : r1 * p.size].T
                     # (C, (r1-r0)*In) C-contiguous.
-                with t.phase("gemv"):
+                with tr.span("gemv"):
                     for j in range(rank):
                         sub = Lb[j].reshape((p.size, r1 - r0), order="F")
                         M[:, j] += sub @ KR[r0:r1, j]

@@ -18,6 +18,7 @@ checking adds no extra pass over the tensor.
 
 from __future__ import annotations
 
+import time
 from collections.abc import Sequence
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -31,7 +32,6 @@ from repro.cpd.init import initialize_factors
 from repro.cpd.kruskal import KruskalTensor
 from repro.parallel.config import use_backend
 from repro.tensor.dense import DenseTensor
-from repro.util.timing import PhaseTimer, wall_time
 
 __all__ = ["cp_als", "CPALSResult"]
 
@@ -52,10 +52,10 @@ class CPALSResult:
     iterations:
         Number of iterations executed.
     iteration_times:
-        Wall-clock seconds per iteration (Figure 7's quantity).
-    timers:
-        Aggregated per-phase timings across all iterations (MTTKRP phases
-        plus ``"gram"`` and ``"solve"``).
+        Wall-clock seconds per iteration (Figure 7's quantity); the
+        per-phase breakdown (MTTKRP phases plus ``"gram"`` and
+        ``"solve"``) is ``obs.phase_totals`` of a run under
+        ``obs.capture()``.
     tuning:
         Per-mode :class:`~repro.tune.cache.TuneRecord` list when the run
         was started with ``tune=True`` (``None`` otherwise).  Each
@@ -69,7 +69,6 @@ class CPALSResult:
     converged: bool = False
     iterations: int = 0
     iteration_times: list[float] = field(default_factory=list)
-    timers: PhaseTimer = field(default_factory=PhaseTimer)
     tuning: list | None = None
 
     @property
@@ -239,16 +238,15 @@ def cp_als(
 
     weights = np.ones(rank)
     grams = GramCache(factors)
-    timers = PhaseTimer()
     tracer = get_tracer()
-    result = CPALSResult(model=KruskalTensor(factors, weights), timers=timers)
+    result = CPALSResult(model=KruskalTensor(factors, weights))
     previous_fit = -np.inf
 
     def update_mode(n: int, M: np.ndarray, it: int) -> None:
         nonlocal weights
-        with timers.phase("gram"), tracer.span("gram"):
+        with tracer.span("gram"):
             H = grams.hadamard(skip=n)
-        with timers.phase("solve"), tracer.span("solve"):
+        with tracer.span("solve"):
             factors[n] = _solve_update(M, H)
             # Column normalization keeps factor magnitudes balanced
             # across modes (2-norms first iteration, max-norms after,
@@ -333,7 +331,7 @@ def cp_als(
                 cancel.raise_if_cancelled()
             for it in range(n_iter_max):
                 with tracer.span(f"iter[{it}]"):
-                    t_start = wall_time()
+                    t_start = time.perf_counter()
                     M = None
                     if mode_strategy == "per-mode":
                         for n in range(N):
@@ -344,7 +342,6 @@ def cp_als(
                                     n,
                                     method=methods[n],
                                     num_threads=num_threads,
-                                    timers=timers,
                                     **mode_kwargs[n],
                                 )
                                 update_mode(n, M, it)
@@ -357,14 +354,14 @@ def cp_als(
                         with tracer.span("partial[left]"):
                             T_L = left_partial(
                                 tensor, factors, m,
-                                num_threads=num_threads, timers=timers,
+                                num_threads=num_threads,
                                 executor=executor, workspace=ws,
                             )
                         for n in range(m):
                             with tracer.span(f"mode[{n}]"):
                                 M = node_mttkrp(
                                     T_L, factors[:m], keep=n,
-                                    num_threads=num_threads, timers=timers,
+                                    num_threads=num_threads,
                                     executor=executor, workspace=ws,
                                     slot=f"nodeL[{n}]",
                                 )
@@ -373,19 +370,19 @@ def cp_als(
                         with tracer.span("partial[right]"):
                             T_R = right_partial(
                                 tensor, factors, m,
-                                num_threads=num_threads, timers=timers,
+                                num_threads=num_threads,
                                 executor=executor, workspace=ws,
                             )
                         for n in range(m, N):
                             with tracer.span(f"mode[{n}]"):
                                 M = node_mttkrp(
                                     T_R, factors[m:], keep=n - m,
-                                    num_threads=num_threads, timers=timers,
+                                    num_threads=num_threads,
                                     executor=executor, workspace=ws,
                                     slot=f"nodeR[{n - m}]",
                                 )
                                 update_mode(n, M, it)
-                    result.iteration_times.append(wall_time() - t_start)
+                    result.iteration_times.append(time.perf_counter() - t_start)
 
                     # Fit via the last mode's MTTKRP (no extra tensor
                     # pass): <X, Y> = sum_{i,c} M(i,c) U_{N-1}(i,c) w_c ;

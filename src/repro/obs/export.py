@@ -8,15 +8,14 @@ Two consumers of a :class:`~repro.obs.tracer.Tracer`:
   complete ("X") event on its recording thread's lane; span args and
   counters ride along in ``args``, so FLOPs, byte counts and per-region
   imbalance are inspectable per event.
-* :func:`summary` — a text table reproducing the paper's Figure 6/8
-  phase-breakdown view from a single trace: leaf spans aggregated by name
-  (calls, seconds, share, achieved GFLOP/s where a ``flops`` counter is
-  present), followed by a per-region load-imbalance table.
+* :func:`phase_totals` / :func:`summary` — the paper's Figure 6/8
+  phase-breakdown view of a single trace: phase spans aggregated by name
+  (calls, seconds, share), followed by the algorithm spans' analytic
+  FLOP/byte rates and a per-region load-imbalance table.
 
-:func:`phase_totals` / :func:`phase_timer_from_trace` bridge back into the
-pre-existing :class:`~repro.util.timing.PhaseTimer` world, so anything
-written against phase-total dicts (the figure harnesses, the report
-helpers) can consume a trace unchanged.
+A phase's seconds are the wall-clock *union* of its spans, so the
+per-worker spans of one parallel region count once — as the paper times
+each OpenMP region — while sequential entries still add up.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ import json
 import os
 
 from repro.obs.tracer import Tracer
-from repro.util.timing import PhaseTimer
 
 __all__ = [
     "chrome_trace",
@@ -34,7 +32,6 @@ __all__ = [
     "summarize_records",
     "records_from_events",
     "phase_totals",
-    "phase_timer_from_trace",
     "counter_total",
     "counters_snapshot",
 ]
@@ -164,6 +161,7 @@ def _records_from_tracer(tracer: Tracer) -> list[dict]:
         {
             "name": sp.name,
             "path": sp.path,
+            "start": sp.start,
             "seconds": sp.duration,
             "counters": sp.counters,
         }
@@ -191,6 +189,7 @@ def records_from_events(events: list[dict]) -> list[dict]:
             {
                 "name": ev.get("name", "?"),
                 "path": args.get("path", ev.get("name", "?")),
+                "start": float(ev.get("ts", 0.0)) / 1e6,
                 "seconds": float(ev.get("dur", 0.0)) / 1e6,
                 "counters": counters,
             }
@@ -198,93 +197,88 @@ def records_from_events(events: list[dict]) -> list[dict]:
     return records
 
 
-def _leaf_records(records: list[dict]) -> list[dict]:
-    """Records whose path never appears as another record's ancestor."""
-    parents = set()
-    for rec in records:
-        path = rec["path"]
-        if "/" in path:
-            parents.add(path.rsplit("/", 1)[0])
-    return [rec for rec in records if rec["path"] not in parents]
-
-
 def _phase_leaf_records(records: list[dict]) -> list[dict]:
     """Leaf records for the phase breakdown.
 
-    Parallel-region spans (``imbalance`` counter) and the pool's per-worker
-    wrapper spans (``*.worker``) are bookkeeping around the real phase
-    spans recorded inside the workers; dropping them *before* the leaf
-    computation both avoids double-counting their wall time and lets an
-    enclosing phase span (e.g. ``reduce``) surface as the leaf when its
-    only children were regions.
+    Three kinds of span are bookkeeping around the phase spans and are
+    dropped *before* the leaf computation: parallel-region spans
+    (``imbalance`` counter), the pool's per-worker wrapper spans
+    (``*.worker``), and algorithm spans carrying analytic ``flops``
+    counters (``mttkrp.*``, ``krp.parallel``, ``node_mttkrp``, ...).  So
+    an enclosing phase span (``reduce`` around a reduction region,
+    ``lr_krp`` around a parallel KRP) surfaces as the leaf.
     """
     filtered = [
         rec
         for rec in records
         if "imbalance" not in rec["counters"]
+        and "flops" not in rec["counters"]
         and not rec["name"].endswith(".worker")
     ]
-    return _leaf_records(filtered)
+    ancestors = set()
+    for rec in filtered:
+        parts = rec["path"].split("/")
+        for depth in range(1, len(parts)):
+            ancestors.add("/".join(parts[:depth]))
+    return [rec for rec in filtered if rec["path"] not in ancestors]
+
+
+def _union_seconds(intervals: list[tuple[float, float]]) -> float:
+    """Total length covered by a set of ``(start, end)`` intervals."""
+    total = 0.0
+    cur_start = cur_end = None
+    for start, end in sorted(intervals):
+        if cur_end is None or start > cur_end:
+            if cur_end is not None:
+                total += cur_end - cur_start
+            cur_start, cur_end = start, end
+        else:
+            cur_end = max(cur_end, end)
+    if cur_end is not None:
+        total += cur_end - cur_start
+    return total
 
 
 def phase_totals(source: Tracer | list[dict]) -> dict[str, float]:
-    """Leaf-span wall time aggregated by span name (a ``totals`` dict).
+    """Wall-clock seconds per phase name, from a trace's leaf spans.
 
-    Mirrors :attr:`repro.util.timing.PhaseTimer.totals` so trace-derived
-    breakdowns plug into the existing figure machinery.
+    Each phase's total is the union of its spans' intervals: the
+    per-worker spans of one parallel region overlap and count once (the
+    region's wall time for that phase, as the paper times an OpenMP
+    region), never their sum; successive calls add up.
+
+    >>> import repro.obs as obs
+    >>> tr = obs.Tracer()
+    >>> _ = tr.record("gemm", 1.0, 3.0, worker=0)
+    >>> _ = tr.record("gemm", 1.0, 3.0, worker=1)
+    >>> obs.phase_totals(tr)
+    {'gemm': 2.0}
     """
     records = (
         _records_from_tracer(source) if isinstance(source, Tracer) else source
     )
-    totals: dict[str, float] = {}
+    intervals: dict[str, list[tuple[float, float]]] = {}
     for rec in _phase_leaf_records(records):
-        totals[rec["name"]] = totals.get(rec["name"], 0.0) + rec["seconds"]
-    return totals
-
-
-def phase_timer_from_trace(tracer: Tracer) -> PhaseTimer:
-    """Build a :class:`PhaseTimer` from a trace's leaf spans.
-
-    The backward-compatibility bridge: any consumer written against
-    ``PhaseTimer`` (report tables, figure drivers) can be fed a trace.
-    """
-    records = _records_from_tracer(tracer)
-    timer = PhaseTimer()
-    for rec in _phase_leaf_records(records):
-        timer.add(rec["name"], rec["seconds"])
-    return timer
+        intervals.setdefault(rec["name"], []).append(
+            (rec["start"], rec["start"] + rec["seconds"])
+        )
+    return {name: _union_seconds(iv) for name, iv in intervals.items()}
 
 
 def summarize_records(records: list[dict]) -> str:
     """Text summary (phase breakdown + region imbalance) of trace records."""
     lines: list[str] = []
-    leaves = _phase_leaf_records(records)
-    by_name: dict[str, dict] = {}
-    for rec in leaves:
-        agg = by_name.setdefault(
-            rec["name"], {"calls": 0, "seconds": 0.0, "flops": 0.0}
-        )
-        agg["calls"] += 1
-        agg["seconds"] += rec["seconds"]
-        agg["flops"] += rec["counters"].get("flops", 0.0)
-    total = sum(a["seconds"] for a in by_name.values()) or 1.0
+    calls: dict[str, int] = {}
+    for rec in _phase_leaf_records(records):
+        calls[rec["name"]] = calls.get(rec["name"], 0) + 1
+    seconds = phase_totals(records)
+    total = sum(seconds.values()) or 1.0
 
-    lines.append("phase breakdown (leaf spans)")
-    lines.append(
-        f"{'phase':<28} {'calls':>7} {'seconds':>10} {'share':>7} "
-        f"{'GFLOP/s':>9}"
-    )
-    for name, agg in sorted(
-        by_name.items(), key=lambda kv: -kv[1]["seconds"]
-    ):
-        rate = (
-            f"{agg['flops'] / agg['seconds'] / 1e9:9.2f}"
-            if agg["flops"] > 0 and agg["seconds"] > 0
-            else f"{'-':>9}"
-        )
+    lines.append("phase breakdown (leaf spans, each region counted once)")
+    lines.append(f"{'phase':<28} {'calls':>7} {'seconds':>10} {'share':>7}")
+    for name, secs in sorted(seconds.items(), key=lambda kv: -kv[1]):
         lines.append(
-            f"{name:<28} {agg['calls']:>7d} {agg['seconds']:>10.4f} "
-            f"{agg['seconds'] / total:>6.1%} {rate}"
+            f"{name:<28} {calls[name]:>7d} {secs:>10.4f} {secs / total:>6.1%}"
         )
 
     flop_spans = [r for r in records if r["counters"].get("flops", 0.0) > 0]

@@ -5,10 +5,10 @@ Usage::
     python -m repro.obs.report trace.json
     repro-trace-report trace.json            # console script
 
-Prints the Figure 6/8-style phase breakdown (leaf spans aggregated by
-name, with achieved GFLOP/s where FLOP counters are present) and the
-per-region load-imbalance table, reconstructed purely from the exported
-JSON — no live tracer required.
+Prints the Figure 6/8-style phase breakdown (phase spans aggregated by
+name, each parallel region counted once), the algorithm spans' achieved
+GFLOP/s and GB/s, and the per-region load-imbalance table, reconstructed
+purely from the exported JSON — no live tracer required.
 """
 
 from __future__ import annotations

@@ -27,8 +27,7 @@ instrumented call site fetches the module-wide tracer once via
 :func:`get_tracer`, which returns the :data:`NULL_TRACER` singleton —
 whose ``span()`` returns one shared no-op context manager (no per-call
 allocations) and whose ``enabled`` attribute lets parallel regions skip
-instrumentation wholesale (mirroring ``NULL_TIMER`` in
-:mod:`repro.util.timing`).
+instrumentation wholesale, including their per-worker clock reads.
 
 Turn it on with :func:`enable` (returns the live :class:`Tracer`) or by
 setting the ``REPRO_TRACE`` environment variable before the first traced

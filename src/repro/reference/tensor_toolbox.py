@@ -21,16 +21,17 @@ update order, normalization, and fit logic as Tensor Toolbox 2.6).
 
 from __future__ import annotations
 
+import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.obs import get_tracer
 from repro.parallel.blas import blas_threads
 from repro.parallel.config import resolve_threads
 from repro.tensor.dense import DenseTensor
 from repro.tensor.matricize import unfold_explicit
-from repro.util.timing import NULL_TIMER, PhaseTimer, wall_time
 from repro.util.validation import check_factor_matrices, check_mode
 
 __all__ = ["khatrirao_ttb", "mttkrp_ttb", "cp_als_ttb", "TTBResult"]
@@ -62,11 +63,10 @@ def mttkrp_ttb(
     factors: Sequence[np.ndarray],
     n: int,
     num_threads: int | None = None,
-    timers: PhaseTimer | None = None,
 ) -> np.ndarray:
     """Dense MTTKRP the Tensor Toolbox way: reorder + full KRP + GEMM.
 
-    Phases (for breakdown reporting): ``"reorder"``, ``"full_krp"``,
+    Traced phases (:mod:`repro.obs` spans): ``"reorder"``, ``"full_krp"``,
     ``"gemm"``.  ``num_threads`` caps the BLAS threads, the only
     parallelism this implementation has.
     """
@@ -77,16 +77,16 @@ def mttkrp_ttb(
     n = check_mode(n, tensor.ndim)
     check_factor_matrices(list(factors), tensor.shape)
     T = resolve_threads(num_threads)
-    t = timers if timers is not None else NULL_TIMER
-    with t.phase("reorder"):
+    tr = get_tracer()
+    with tr.span("reorder"):
         Xn = unfold_explicit(tensor, n, order="F")
-    with t.phase("full_krp"):
+    with tr.span("full_krp"):
         # KRP of all factors but n, highest mode first (TTB's convention for
         # its 0-indexed equivalent; matches the matricization column order).
         K = khatrirao_ttb(
             [np.asarray(factors[k]) for k in range(tensor.ndim - 1, -1, -1) if k != n]
         )
-    with blas_threads(T), t.phase("gemm"):
+    with blas_threads(T), tr.span("gemm"):
         return Xn @ K
 
 
@@ -100,7 +100,6 @@ class TTBResult:
     iterations: int = 0
     converged: bool = False
     iteration_times: list[float] = field(default_factory=list)
-    timers: PhaseTimer = field(default_factory=PhaseTimer)
 
     @property
     def final_fit(self) -> float:
@@ -153,22 +152,20 @@ def cp_als_ttb(
         raise ValueError("cannot decompose a zero tensor")
     weights = np.ones(rank)
     grams = [f.T @ f for f in factors]
-    timers = PhaseTimer()
-    result = TTBResult(factors=factors, weights=weights, timers=timers)
+    tracer = get_tracer()
+    result = TTBResult(factors=factors, weights=weights)
     previous_fit = -np.inf
 
     for it in range(n_iter_max):
-        t0 = wall_time()
+        t0 = time.perf_counter()
         M = None
         for n in range(N):
-            M = mttkrp_ttb(
-                tensor, factors, n, num_threads=num_threads, timers=timers
-            )
+            M = mttkrp_ttb(tensor, factors, n, num_threads=num_threads)
             H = np.ones((rank, rank))
             for k in range(N):
                 if k != n:
                     H *= grams[k]
-            with timers.phase("solve"):
+            with tracer.span("solve"):
                 try:
                     factors[n] = np.linalg.solve(H, M.T).T
                 except np.linalg.LinAlgError:
@@ -180,7 +177,7 @@ def cp_als_ttb(
                 weights = np.where(weights > 0, weights, 1.0)
                 factors[n] /= weights
             grams[n] = factors[n].T @ factors[n]
-        result.iteration_times.append(wall_time() - t0)
+        result.iteration_times.append(time.perf_counter() - t0)
 
         assert M is not None
         inner = float(np.einsum("ic,ic,c->", M, factors[N - 1], weights))

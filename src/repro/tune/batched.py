@@ -19,6 +19,7 @@ the order-2 short-circuit of :func:`repro.tune.tuner.autotune`).
 
 from __future__ import annotations
 
+import time
 from collections.abc import Sequence
 from contextlib import nullcontext
 
@@ -28,7 +29,6 @@ from repro.obs import get_tracer
 from repro.parallel.config import resolve_backend, resolve_threads, use_backend
 from repro.tune.cache import TuneKey, TuneRecord, TuningCache, get_cache
 from repro.tune.tuner import Candidate
-from repro.util.timing import wall_time
 
 __all__ = ["autotune_batched", "batched_candidate_labels", "candidate_set"]
 
@@ -89,12 +89,12 @@ def _measure_batched(
         with tracer.span(
             "tune.measure", candidate=candidate.label, mode=n, warmup=rep == 0
         ) as span:
-            t0 = wall_time()
+            t0 = time.perf_counter()
             runner(
                 batch, factors, n, num_threads=num_threads,
                 workspace=workspace, slot="tune.batch",
             )
-            elapsed = wall_time() - t0
+            elapsed = time.perf_counter() - t0
             span.args["seconds"] = elapsed
         tracer.add_counter("tune.measure", 1)
         if rep > 0:  # the warm-up run absorbs pool/buffer start-up costs

@@ -37,6 +37,7 @@ counters.
 from __future__ import annotations
 
 import threading
+import time
 import warnings
 from collections.abc import Sequence
 from contextlib import nullcontext
@@ -62,7 +63,6 @@ from repro.tune.cache import (
     get_cache,
 )
 from repro.util import prod
-from repro.util.timing import wall_time
 from repro.util.validation import check_factor_matrices, check_mode
 
 __all__ = [
@@ -227,12 +227,12 @@ def _measure(
         with tracer.span(
             "tune.measure", candidate=candidate.label, mode=n, warmup=rep == 0
         ) as span:
-            t0 = wall_time()
+            t0 = time.perf_counter()
             run_candidate(
                 candidate, tensor, factors, n,
                 num_threads=num_threads, workspace=workspace,
             )
-            elapsed = wall_time() - t0
+            elapsed = time.perf_counter() - t0
             span.args["seconds"] = elapsed
         tracer.add_counter("tune.measure", 1)
         if rep > 0:  # the warm-up run absorbs pool/buffer start-up costs

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,15 @@ def mttkrp_oracle(tensor: DenseTensor, factors, n: int) -> np.ndarray:
     return np.einsum(expr, arr, *operands, optimize=True)
 
 
+def traced_phases(fn) -> dict[str, float]:
+    """``obs.phase_totals`` of one call of ``fn`` under a capture tracer."""
+    import repro.obs as obs
+
+    with obs.capture() as tracer:
+        fn()
+    return obs.phase_totals(tracer)
+
+
 def krp_oracle(matrices) -> np.ndarray:
     """Column-wise Kronecker definition of the Khatri-Rao product."""
     mats = [np.asarray(m) for m in matrices]
@@ -36,6 +47,15 @@ def krp_oracle(matrices) -> np.ndarray:
             col = np.kron(col, m[:, c])
         cols.append(col)
     return np.stack(cols, axis=1)
+
+
+@pytest.fixture(scope="session")
+def src_findings():
+    """One in-process analyzer run over ``src/repro``, shared by the
+    tree self-check and the suppression-ratchet tests."""
+    from repro.analysis import lint_paths
+
+    return lint_paths([Path(__file__).parent.parent / "src" / "repro"])
 
 
 @pytest.fixture

@@ -274,11 +274,10 @@ class TestBaselineRatchet:
         assert not ok
         assert "baseline write" in problems[0]
 
-    def test_repo_baseline_is_current(self):
+    def test_repo_baseline_is_current(self, src_findings):
         # The committed baseline must match a fresh run: zero findings.
-        findings = lint_paths([SRC])
         ok, problems = check_baseline(REPO / "analysis-baseline.json",
-                                      findings)
+                                      src_findings)
         assert ok, problems
         recorded = json.loads(
             (REPO / "analysis-baseline.json").read_text()

@@ -15,19 +15,17 @@ from repro.analysis import lint_paths, render_text
 SRC = Path(__file__).parent.parent / "src" / "repro"
 
 
-def test_src_tree_has_no_unsuppressed_findings():
-    findings = lint_paths([SRC])
-    active = [f for f in findings if not f.suppressed]
-    assert not active, "\n" + render_text(findings)
+def test_src_tree_has_no_unsuppressed_findings(src_findings):
+    active = [f for f in src_findings if not f.suppressed]
+    assert not active, "\n" + render_text(src_findings)
 
 
-def test_suppressions_in_tree_are_the_known_ones():
+def test_suppressions_in_tree_are_the_known_ones(src_findings):
     # Suppressions are allowed but must be deliberate: this list is the
     # reviewed inventory.  Update it (and the justifying comment at the
     # site) when adding one.
-    findings = lint_paths([SRC])
     suppressed = {
-        (Path(f.path).name, f.rule) for f in findings if f.suppressed
+        (Path(f.path).name, f.rule) for f in src_findings if f.suppressed
     }
     assert suppressed == {
         ("mttkrp_twostep.py", "RA004"),

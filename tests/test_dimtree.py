@@ -14,8 +14,8 @@ from repro.cpd.cp_als import cp_als
 from repro.parallel.backend import get_executor
 from repro.parallel.workspace import Workspace
 from repro.tensor.generate import random_factors, random_tensor
-from repro.util.timing import PhaseTimer
-from tests.conftest import mttkrp_oracle
+import repro.obs as obs
+from tests.conftest import mttkrp_oracle, traced_phases
 
 SHAPES = [(4, 5, 6), (3, 4, 5, 6), (2, 3, 4, 3, 2), (7, 3)]
 
@@ -103,9 +103,8 @@ class TestPartials:
 
     def test_timers(self):
         X, U = _case((4, 5, 6))
-        t = PhaseTimer()
-        left_partial(X, U, 2, timers=t)
-        assert {"lr_krp", "gemm"} <= set(t.totals)
+        phases = traced_phases(lambda: left_partial(X, U, 2))
+        assert {"lr_krp", "gemm"} <= set(phases)
 
     def test_krp_runs_on_the_executor(self):
         # Regression: the first level used to call the serial khatri_rao.
@@ -170,16 +169,14 @@ class TestNodeMttkrp:
     def test_phase_timer(self):
         X, U = _case((4, 5, 6))
         TL = left_partial(X, U, 2)
-        t = PhaseTimer()
-        node_mttkrp(TL, U[:2], keep=0, timers=t)
-        assert {"node_krp", "node_gemm"} <= set(t.totals)
+        phases = traced_phases(lambda: node_mttkrp(TL, U[:2], keep=0))
+        assert {"node_krp", "node_gemm"} <= set(phases)
 
     def test_phase_timer_columnwise(self):
         X, U = _case((4, 5, 6))
         TL = left_partial(X, U, 2)
-        t = PhaseTimer()
-        node_mttkrp_columnwise(TL, U[:2], keep=0, timers=t)
-        assert "gemv" in t.totals
+        phases = traced_phases(lambda: node_mttkrp_columnwise(TL, U[:2], keep=0))
+        assert "gemv" in phases
 
 
 def _all_nodes(shape, rank, seed=0):
@@ -276,10 +273,12 @@ class TestCpAlsDimtree:
         two 'gemm' phase entries per iteration (one per half)."""
         X = random_tensor((8, 8, 8, 8), rng=1)
         init = random_factors(X.shape, 4, rng=2)
-        res = cp_als(
-            X, 4, n_iter_max=2, tol=0.0, init=init, mode_strategy="dimtree"
-        )
-        assert res.timers.counts["gemm"] == 2 * 2  # 2 halves x 2 iterations
+        with obs.capture() as tracer:
+            cp_als(
+                X, 4, n_iter_max=2, tol=0.0, init=init, mode_strategy="dimtree"
+            )
+        gemm_spans = [s for s in tracer.spans() if s.name == "gemm"]
+        assert len(gemm_spans) == 2 * 2  # 2 halves x 2 iterations
 
     @pytest.mark.parametrize("shape", [(6, 7, 8), (5, 6, 7, 4)])
     def test_parallel_trajectory_matches_serial(self, shape):

@@ -19,7 +19,7 @@ from repro.core.mttkrp_baseline import mttkrp_baseline
 from repro.core.mttkrp_blocked import TilePlan, choose_tiles, mttkrp_blocked
 from repro.tensor.dense import DenseTensor
 from repro.tensor.layout import mode_products
-from repro.util.timing import PhaseTimer
+from tests.conftest import traced_phases
 
 
 def _problem(shape, rank=5, seed=0, dtype=np.float64):
@@ -174,12 +174,10 @@ class TestBackendParity:
 class TestObservability:
     def test_timers_external_and_internal(self):
         X, U = _problem((10, 9, 8), rank=4, seed=7)
-        t = PhaseTimer()
-        mttkrp_blocked(X, U, 0, timers=t)
-        assert "full_krp" in t.totals and "gemm" in t.totals
-        t2 = PhaseTimer()
-        mttkrp_blocked(X, U, 1, num_threads=2, timers=t2)
-        assert {"lr_krp", "gemm", "reduce"} <= set(t2.totals)
+        phases = traced_phases(lambda: mttkrp_blocked(X, U, 0))
+        assert "full_krp" in phases and "gemm" in phases
+        phases = traced_phases(lambda: mttkrp_blocked(X, U, 1, num_threads=2))
+        assert {"lr_krp", "gemm", "reduce"} <= set(phases)
 
     def test_traced_dispatch_reports_lower_bound_ratio(self):
         X, U = _problem((12, 10, 8), rank=6, seed=8)

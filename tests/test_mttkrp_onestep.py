@@ -9,8 +9,7 @@ from repro.core.mttkrp_onestep import (
     mttkrp_onestep_sequential,
 )
 from repro.tensor.generate import random_factors, random_tensor
-from repro.util.timing import PhaseTimer
-from tests.conftest import mttkrp_oracle
+from tests.conftest import mttkrp_oracle, traced_phases
 
 SHAPES = [(4, 5, 6), (3, 4, 5, 6), (2, 3, 4, 3, 2), (7, 2)]
 
@@ -46,9 +45,8 @@ class TestSequentialAlgorithm2:
 
     def test_timers_record_phases(self):
         X, U = _case((4, 5, 6))
-        t = PhaseTimer()
-        mttkrp_onestep_sequential(X, U, 1, timers=t)
-        assert {"full_krp", "gemm"} <= set(t.totals)
+        phases = traced_phases(lambda: mttkrp_onestep_sequential(X, U, 1))
+        assert {"full_krp", "gemm"} <= set(phases)
 
     def test_rejects_plain_ndarray(self, rng):
         with pytest.raises(TypeError, match="DenseTensor"):
@@ -99,15 +97,13 @@ class TestParallelAlgorithm3:
 
     def test_timers_external(self):
         X, U = _case((4, 5, 6))
-        t = PhaseTimer()
-        mttkrp_onestep(X, U, 0, num_threads=2, timers=t)
-        assert {"full_krp", "gemm", "reduce"} <= set(t.totals)
+        phases = traced_phases(lambda: mttkrp_onestep(X, U, 0, num_threads=2))
+        assert {"full_krp", "gemm", "reduce"} <= set(phases)
 
     def test_timers_internal(self):
         X, U = _case((4, 5, 6))
-        t = PhaseTimer()
-        mttkrp_onestep(X, U, 1, num_threads=2, timers=t)
-        assert {"lr_krp", "gemm", "reduce"} <= set(t.totals)
+        phases = traced_phases(lambda: mttkrp_onestep(X, U, 1, num_threads=2))
+        assert {"lr_krp", "gemm", "reduce"} <= set(phases)
 
     def test_wrong_factor_shape(self):
         X, U = _case((4, 5, 6))

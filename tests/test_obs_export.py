@@ -74,14 +74,46 @@ class TestSummaries:
     def test_phase_totals_uses_leaves_only(self):
         tr = _sample_tracer()
         totals = obs.phase_totals(tr)
-        # Leaves are the innermost phases; ancestors and regions excluded.
+        # Leaves are the innermost phases; ancestors, regions and the
+        # flops-carrying algorithm span are excluded.
         assert set(totals) == {"full_krp", "gemm"}
+        by_name = {s.name: s for s in tr.spans()}
+        for name in ("full_krp", "gemm"):
+            assert totals[name] == pytest.approx(by_name[name].duration)
 
-    def test_phase_timer_bridge(self):
-        timer = obs.phase_timer_from_trace(_sample_tracer())
-        snap = timer.snapshot()
-        assert set(snap) == {"full_krp", "gemm"}
-        assert all(v >= 0.0 for v in snap.values())
+    def test_parallel_region_phase_counted_once(self):
+        # One region, two workers each recording ``gemm`` over the same
+        # interval: the phase costs the region's wall time once, not the
+        # sum over workers.
+        tr = Tracer()
+        t0 = tr.epoch
+        with tr.span("mttkrp.onestep") as sp:
+            sp.add("flops", 1.0e6)
+            for worker in (0, 1):
+                tr.record("gemm", t0 + 0.1, t0 + 0.4, worker=worker)
+            tr.record_region("mttkrp.onestep.external", t0, t0 + 0.5,
+                             [0.3, 0.3])
+        assert obs.phase_totals(tr)["gemm"] == pytest.approx(0.3)
+
+    def test_phase_totals_adds_sequential_entries(self):
+        tr = Tracer()
+        t0 = tr.epoch
+        tr.record("gemm", t0, t0 + 0.2)
+        tr.record("gemm", t0 + 0.5, t0 + 0.6)
+        tr.record("gemm", t0 + 0.55, t0 + 0.7)  # overlaps the second
+        assert obs.phase_totals(tr)["gemm"] == pytest.approx(0.4)
+
+    def test_phase_totals_from_loaded_trace_match_live(self, tmp_path):
+        tr = _sample_tracer()
+        path = str(tmp_path / "trace.json")
+        obs.save_chrome_trace(tr, path)
+        with open(path, encoding="utf-8") as fh:
+            events = json.load(fh)["traceEvents"]
+        loaded = obs.phase_totals(records_from_events(events))
+        live = obs.phase_totals(tr)
+        assert set(loaded) == set(live)
+        for name, seconds in live.items():
+            assert loaded[name] == pytest.approx(seconds, abs=1e-6)
 
     def test_summary_sections(self):
         text = obs.summary(_sample_tracer())
