@@ -39,26 +39,12 @@ __all__ = [
 
 
 def blas_threads() -> int | None:
-    """Thread count of the loaded BLAS, if discoverable.
+    """Thread count the loaded BLAS reports right now
+    (:func:`repro.parallel.blas.get_blas_threads`; ``None`` when the
+    library exposes no thread control)."""
+    from repro.parallel.blas import get_blas_threads
 
-    Checks the conventional environment knobs first (they are what the
-    benchmark protocol pins), then falls back to threadpoolctl if it
-    happens to be installed.  Returns ``None`` when nothing is pinned —
-    an honest "library default" rather than a guess.
-    """
-    for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = os.environ.get(var, "").strip()
-        if value.isdigit():
-            return int(value)
-    try:  # pragma: no cover - optional dependency
-        from threadpoolctl import threadpool_info
-
-        for pool in threadpool_info():
-            if pool.get("user_api") == "blas":
-                return int(pool["num_threads"])
-    except Exception:
-        pass
-    return None
+    return get_blas_threads()
 
 
 def git_revision(repo_dir: str | None = None) -> tuple[str | None, bool]:

@@ -4,7 +4,7 @@ Three microbenchmarks, all taking well under a second at default sizes:
 
 * STREAM scale (read + write of a large array) -> ``bw_single_gbs`` (and,
   with multiple threads available, the saturated bandwidth);
-* large square DGEMM -> ``peak_gflops_per_core * gemm_efficiency``
+* large square single-thread DGEMM -> ``peak_gflops_per_core * gemm_efficiency``
   (reported as achieved GFLOP/s; the split between the two factors is set
   by assuming the nominal efficiency);
 * skinny DGEMM with 25 columns -> validates the narrow-panel penalty term.
@@ -24,6 +24,7 @@ import time
 import numpy as np
 
 from repro.machine.model import MachineModel
+from repro.parallel.blas import blas_threads
 
 __all__ = [
     "calibrate_host_model",
@@ -96,7 +97,9 @@ def measure_stream_bandwidth(entries: int = 8_000_000, repeats: int = 3) -> floa
 def measure_gemm_gflops(
     m: int = 768, n: int = 768, k: int = 768, repeats: int = 3
 ) -> float:
-    """Measured DGEMM rate in GFLOP/s for an ``m x k . k x n`` multiply."""
+    """Measured single-core DGEMM rate in GFLOP/s for an
+    ``m x k . k x n`` multiply (BLAS pinned to one thread, so the rate is
+    the per-core figure :func:`calibrate_host_model` records)."""
     rng = np.random.default_rng(0)
     A = rng.random((m, k))
     B = rng.random((k, n))
@@ -105,7 +108,8 @@ def measure_gemm_gflops(
     def kernel() -> None:
         np.matmul(A, B, out=out)
 
-    seconds = _best_of(kernel, repeats)
+    with blas_threads(1):
+        seconds = _best_of(kernel, repeats)
     return (2.0 * m * n * k) / seconds / 1e9
 
 

@@ -5,10 +5,16 @@ The paper combines OpenMP threading *outside* BLAS with multithreaded BLAS
 its one big GEMM).  To reproduce that split we need to set the BLAS thread
 count at runtime.  NumPy offers no portable API, so we locate the OpenBLAS
 control functions with :mod:`ctypes` in the already-loaded shared objects.
+Both symbol families are probed: the ``scipy_openblas_*`` names the
+``scipy-openblas`` wheels numpy ships with (64- and 32-bit integer
+builds), and the plain ``openblas_*`` names of a system OpenBLAS.
 
-Everything here degrades gracefully: if no known BLAS is found the setters
-become no-ops and :func:`get_blas_threads` returns ``None``, which the
-benchmark harness reports so results are interpretable.
+If no control function is found the setters become no-ops and
+:func:`get_blas_threads` returns ``None``.  That is only silent when
+numpy does not link OpenBLAS at all: when ``numpy.show_config`` reports
+OpenBLAS but no setter resolves, the first lookup warns
+(:class:`RuntimeWarning`) and every no-op request bumps the
+``blas.control_unavailable`` obs counter.
 """
 
 from __future__ import annotations
@@ -18,9 +24,11 @@ import ctypes.util
 import glob
 import os
 import threading
+import warnings
 from contextlib import contextmanager
 
 from repro.analysis.sanitizer import SanitizerError, is_sanitizing
+from repro.obs import get_tracer
 
 __all__ = [
     "set_blas_threads",
@@ -29,9 +37,18 @@ __all__ = [
     "assert_native_layout",
 ]
 
+# (setter, getter) symbol pairs, scipy-openblas wheels first.
+_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
 _lock = threading.Lock()
-_lib: ctypes.CDLL | None = None
+_controls: tuple | None = None
 _searched = False
+_control_expected = False
 
 
 def _candidate_paths() -> list[str]:
@@ -72,37 +89,52 @@ def _candidate_paths() -> list[str]:
     return unique
 
 
-def _load() -> ctypes.CDLL | None:
-    global _lib, _searched
+def _numpy_links_openblas() -> bool:
+    """Whether numpy's build configuration names OpenBLAS as its BLAS."""
+    try:
+        import numpy
+
+        blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return "openblas" in str(blas.get("name", "")).lower()
+    except Exception:  # pragma: no cover - numpy without build metadata
+        return False
+
+
+def _load() -> tuple | None:
+    """``(setter, getter)`` of the loaded BLAS (``getter`` may be
+    ``None``), or ``None`` when no control function is exported."""
+    global _controls, _searched, _control_expected
     with _lock:
         if _searched:
-            return _lib
+            return _controls
         _searched = True
         for path in _candidate_paths():
             try:
                 lib = ctypes.CDLL(path)
             except OSError:
                 continue
-            for name in (
-                "openblas_set_num_threads64_",
-                "openblas_set_num_threads",
-            ):
-                if hasattr(lib, name):
-                    _lib = lib
-                    return _lib
-        return None
-
-
-def _symbols(lib: ctypes.CDLL) -> tuple:
-    if hasattr(lib, "openblas_set_num_threads64_"):
-        return (
-            lib.openblas_set_num_threads64_,
-            getattr(lib, "openblas_get_num_threads64_", None),
+            for set_name, get_name in _SYMBOLS:
+                setter = getattr(lib, set_name, None)
+                if setter is None:
+                    continue
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                getter = getattr(lib, get_name, None)
+                if getter is not None:
+                    getter.argtypes = []
+                    getter.restype = ctypes.c_int
+                _controls = (setter, getter)
+                return _controls
+        _control_expected = _numpy_links_openblas()
+    if _control_expected:
+        warnings.warn(
+            "numpy links OpenBLAS but no thread-control function was "
+            "found (probed: " + ", ".join(s for s, _ in _SYMBOLS) + "); "
+            "BLAS thread requests are ignored",
+            RuntimeWarning,
+            stacklevel=3,
         )
-    return (
-        lib.openblas_set_num_threads,
-        getattr(lib, "openblas_get_num_threads", None),
-    )
+    return None
 
 
 def set_blas_threads(n: int) -> bool:
@@ -114,24 +146,21 @@ def set_blas_threads(n: int) -> bool:
     n = int(n)
     if n <= 0:
         raise ValueError(f"thread count must be positive, got {n}")
-    lib = _load()
-    if lib is None:
+    controls = _load()
+    if controls is None:
+        if _control_expected:
+            get_tracer().add_counter("blas.control_unavailable", 1)
         return False
-    setter, _ = _symbols(lib)
-    setter(ctypes.c_int(n))
+    controls[0](n)
     return True
 
 
 def get_blas_threads() -> int | None:
     """Current BLAS thread count, or ``None`` when control is unavailable."""
-    lib = _load()
-    if lib is None:
+    controls = _load()
+    if controls is None or controls[1] is None:
         return None
-    _, getter = _symbols(lib)
-    if getter is None:
-        return None
-    getter.restype = ctypes.c_int
-    return int(getter())
+    return int(controls[1]())
 
 
 def assert_native_layout(arr, context: str = "operand"):

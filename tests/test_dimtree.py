@@ -247,7 +247,9 @@ class TestCpAlsDimtree:
     def test_identical_trajectory_to_per_mode(self, shape):
         X = random_tensor(shape, rng=9)
         init = random_factors(shape, 3, rng=10)
-        a = cp_als(X, 3, n_iter_max=6, tol=0.0, init=init)
+        a = cp_als(
+            X, 3, n_iter_max=6, tol=0.0, init=init, mode_strategy="per-mode"
+        )
         b = cp_als(
             X, 3, n_iter_max=6, tol=0.0, init=init, mode_strategy="dimtree"
         )
@@ -348,3 +350,78 @@ class TestCpAlsDimtree:
             mode_strategy="dimtree", workspace=ws,
         )
         assert ws.stats.allocations == allocs
+
+
+def _assert_same_run(a, b):
+    assert a.fits == b.fits
+    assert a.iterations == b.iterations
+    assert np.array_equal(a.model.weights, b.model.weights)
+    for fa, fb in zip(a.model.factors, b.model.factors):
+        assert np.array_equal(fa, fb)
+
+
+class TestDefaultStrategy:
+    """``mode_strategy="auto"`` (the default) takes the dimtree sweep only
+    for the default method on order >= 3 without tuning; every explicit
+    kernel choice keeps the per-mode sweep it asked for."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_in_memory_cache(self, monkeypatch):
+        from repro.tune import reset_cache
+
+        monkeypatch.delenv("REPRO_TUNE_CACHE", raising=False)
+        reset_cache()
+        yield
+        reset_cache()
+
+    @staticmethod
+    def _run(shape, **kwargs):
+        X = random_tensor(shape, rng=30)
+        init = random_factors(shape, 3, rng=31)
+        return cp_als(X, 3, n_iter_max=4, tol=0.0, init=init, **kwargs)
+
+    @pytest.mark.parametrize("shape", [(6, 7, 8), (5, 6, 7, 4)])
+    def test_default_is_dimtree(self, shape):
+        default = self._run(shape)
+        explicit = self._run(shape, mode_strategy="dimtree")
+        assert default.mode_strategy == explicit.mode_strategy == "dimtree"
+        _assert_same_run(default, explicit)
+
+    @pytest.mark.parametrize(
+        "shape, kwargs",
+        [
+            ((6, 7, 8), {"method": "onestep"}),
+            ((6, 7, 8), {"method": "baseline"}),
+            ((5, 6, 7, 4), {"method": ["onestep", "twostep:left",
+                                       "twostep:right", "onestep"]}),
+            ((5, 6, 7, 4), {"tune": True}),
+            ((9, 7), {}),
+        ],
+        ids=["onestep", "baseline", "method-list", "tune", "order-2"],
+    )
+    def test_explicit_choices_stay_per_mode(self, shape, kwargs):
+        auto = self._run(shape, **kwargs)
+        explicit = self._run(shape, mode_strategy="per-mode", **kwargs)
+        assert auto.mode_strategy == explicit.mode_strategy == "per-mode"
+        _assert_same_run(auto, explicit)
+
+    @pytest.mark.parametrize("shape", [(6, 7, 8), (5, 6, 7, 4)])
+    def test_fit_trajectory_matches_per_mode(self, shape):
+        default = self._run(shape)
+        per_mode = self._run(shape, mode_strategy="per-mode")
+        np.testing.assert_allclose(default.fits, per_mode.fits, atol=1e-12)
+
+    @pytest.mark.parametrize("method", ["onestep", "baseline", "twostep"])
+    def test_dimtree_rejects_explicit_method(self, method):
+        with pytest.raises(ValueError, match="requires mode_strategy='per-mode'"):
+            self._run((6, 7, 8), mode_strategy="dimtree", method=method)
+
+    @pytest.mark.parametrize(
+        "kwargs, expected",
+        [({}, "dimtree"), ({"method": "onestep"}, "per-mode")],
+    )
+    def test_span_records_resolved_strategy(self, kwargs, expected):
+        with obs.capture() as tracer:
+            self._run((6, 7, 8), **kwargs)
+        (root,) = [s for s in tracer.spans() if s.name == "cp_als"]
+        assert root.args["mode_strategy"] == expected

@@ -13,6 +13,7 @@ from repro.bench.timing import median_time
 from repro.core.dispatch import mttkrp
 from repro.machine.calibrate import calibrate_host_model
 from repro.machine.predict import predict_algorithm_time
+from repro.parallel.blas import blas_threads
 from repro.tensor.generate import random_factors, random_tensor
 
 # Loose band: container timing is noisy and the model is first-order.
@@ -36,20 +37,24 @@ def host():
 def test_prediction_tracks_measurement(host, shape, n, algo):
     X = random_tensor(shape, rng=0)
     U = random_factors(shape, 25, rng=1)
-    if algo == "gemm-baseline":
-        from repro.core.mttkrp_baseline import mttkrp_gemm_lower_bound
+    # Single-thread means one BLAS thread too, as in the calibration;
+    # num_threads=1 alone leaves the 1-step kernel's BLAS at its default.
+    with blas_threads(1):
+        if algo == "gemm-baseline":
+            from repro.core.mttkrp_baseline import mttkrp_gemm_lower_bound
 
-        scratch: dict = {}
-        measured = median_time(
-            lambda: mttkrp_gemm_lower_bound(
-                X, U, n, num_threads=1, _scratch=scratch
-            ),
-            repeats=3,
-        )
-    else:
-        measured = median_time(
-            lambda: mttkrp(X, U, n, method=algo, num_threads=1), repeats=3
-        )
+            scratch: dict = {}
+            measured = median_time(
+                lambda: mttkrp_gemm_lower_bound(
+                    X, U, n, num_threads=1, _scratch=scratch
+                ),
+                repeats=3,
+            )
+        else:
+            measured = median_time(
+                lambda: mttkrp(X, U, n, method=algo, num_threads=1),
+                repeats=3,
+            )
     predicted, _ = predict_algorithm_time(host, shape, n, 25, 1, algo)
     ratio = predicted / measured
     assert 1.0 / MAX_RATIO < ratio < MAX_RATIO, (
@@ -64,12 +69,15 @@ def test_relative_ordering_preserved(host):
     shape = (64, 64, 64, 64)
     X = random_tensor(shape, rng=2)
     U = random_factors(shape, 25, rng=3)
-    m_two = median_time(
-        lambda: mttkrp(X, U, 1, method="twostep", num_threads=1), repeats=3
-    )
-    m_one = median_time(
-        lambda: mttkrp(X, U, 1, method="onestep", num_threads=1), repeats=3
-    )
+    with blas_threads(1):
+        m_two = median_time(
+            lambda: mttkrp(X, U, 1, method="twostep", num_threads=1),
+            repeats=3,
+        )
+        m_one = median_time(
+            lambda: mttkrp(X, U, 1, method="onestep", num_threads=1),
+            repeats=3,
+        )
     p_two, _ = predict_algorithm_time(host, shape, 1, 25, 1, "twostep")
     p_one, _ = predict_algorithm_time(host, shape, 1, 25, 1, "onestep")
     assert m_two <= m_one * 1.2  # measured ordering (with noise margin)

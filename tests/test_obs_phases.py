@@ -115,7 +115,10 @@ CASES = {
         {"reorder", "full_krp", "gemm"}, set(),
     ),
     "cp_als": (
-        lambda T: cp_als(X, 3, n_iter_max=2, tol=0.0, rng=0, num_threads=T),
+        lambda T: cp_als(
+            X, 3, n_iter_max=2, tol=0.0, rng=0, num_threads=T,
+            mode_strategy="per-mode",
+        ),
         KRP | ALS | {"lr_krp", "gemv"}, {"reduce"},
     ),
     "cp_als-dimtree": (

@@ -26,7 +26,8 @@ def traced_run():
     X = random_tensor(SHAPE, rng=0)
     init = random_factors(SHAPE, RANK, rng=1)
     result = cp_als(
-        X, RANK, n_iter_max=ITERS, tol=0.0, init=init, num_threads=THREADS
+        X, RANK, n_iter_max=ITERS, tol=0.0, init=init, num_threads=THREADS,
+        mode_strategy="per-mode",
     )
     obs.disable()
     return tracer, result

@@ -1,5 +1,8 @@
 """Tests for thread-count/backend configuration and BLAS thread control."""
 
+import warnings
+
+import numpy as np
 import pytest
 
 from repro.parallel.blas import blas_threads, get_blas_threads, set_blas_threads
@@ -81,12 +84,57 @@ class TestBlasThreads:
         assert get_blas_threads() == before
 
     def test_roundtrip_when_controllable(self):
-        if get_blas_threads() is None:
+        before = get_blas_threads()
+        if before is None:
             pytest.skip("BLAS thread control unavailable")
-        set_blas_threads(2)
-        assert get_blas_threads() == 2
-        set_blas_threads(1)
-        assert get_blas_threads() == 1
+        try:
+            set_blas_threads(2)
+            assert get_blas_threads() == 2
+            set_blas_threads(1)
+            assert get_blas_threads() == 1
+        finally:
+            set_blas_threads(before)
+
+    def test_getter_found_when_numpy_links_openblas(self):
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        if "openblas" not in str(blas.get("name", "")).lower():
+            pytest.skip("numpy does not link OpenBLAS")
+        assert get_blas_threads() is not None
+
+    def test_context_reads_back_one_then_restores(self):
+        before = get_blas_threads()
+        if before is None:
+            pytest.skip("BLAS thread control unavailable")
+        try:
+            set_blas_threads(2)
+            with blas_threads(1):
+                assert get_blas_threads() == 1
+            assert get_blas_threads() == 2
+        finally:
+            set_blas_threads(before)
+
+    def test_host_fingerprint_reads_the_getter(self):
+        from repro.bench.env import blas_threads as env_blas_threads
+
+        assert env_blas_threads() == get_blas_threads()
+
+    def test_missing_control_warns_once_and_counts(self, monkeypatch):
+        import repro.obs as obs
+        from repro.parallel import blas
+
+        monkeypatch.setattr(blas, "_candidate_paths", lambda: [])
+        monkeypatch.setattr(blas, "_numpy_links_openblas", lambda: True)
+        monkeypatch.setattr(blas, "_searched", False)
+        monkeypatch.setattr(blas, "_controls", None)
+        monkeypatch.setattr(blas, "_control_expected", False)
+        with pytest.warns(RuntimeWarning, match="no thread-control"):
+            assert get_blas_threads() is None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with obs.capture() as tracer:
+                assert set_blas_threads(1) is False
+                assert set_blas_threads(1) is False
+        assert obs.counter_total(tracer, "blas.control_unavailable") == 2
 
 
 class TestBackendConfig:
