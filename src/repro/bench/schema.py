@@ -4,9 +4,10 @@ Before this module, results were scattered across three mutually
 incompatible ad-hoc JSON layouts (``results/BENCH_backend.json``,
 ``BENCH_dimtree.json``, ``BENCH_tune.json``) plus context-free
 ``fig*.txt`` text dumps, so "is PR N+1 faster than PR N?" required
-archaeology.  Every producer — the :mod:`repro.bench.registry` runners,
-the pytest-benchmark suite, the :mod:`repro.bench.migrate` converter —
-now emits the **same versioned record**, and :mod:`repro.bench.trend`
+archaeology.  Every producer — the :mod:`repro.bench.registry` runners
+and the pytest-benchmark suite — now emits the **same versioned
+record** (the legacy files were converted once; the originals are
+archived under ``results/archive/``), and :mod:`repro.bench.trend`
 consumes nothing else.
 
 A record is a plain JSON-able dict::

@@ -14,6 +14,9 @@ equivalents:
   operands through :mod:`multiprocessing.shared_memory` segments
   (:mod:`~repro.parallel.shm`), freeing the Python-level hot loops from
   the GIL;
+* :mod:`~repro.parallel.procworker` — the one worker-process primitive
+  (spawn, pickled pipe, death detection, stop/respawn) under both the
+  process backend and the job server's pool;
 * :mod:`~repro.parallel.partition` — static contiguous block partitioning
   (the paper's ``b = ceil(I/T)`` blocking) and conformal partitions;
 * :mod:`~repro.parallel.reduction` — per-thread private output buffers and

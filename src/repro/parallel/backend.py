@@ -14,7 +14,10 @@ exactly that contract, with two implementations:
   Operands and private outputs live in :mod:`multiprocessing.shared_memory`
   segments (:mod:`repro.parallel.shm`), viewed zero-copy on both sides, so
   regions ship only a function reference plus small argument descriptors —
-  and the Python-level loops run with one GIL *per worker*.
+  and the Python-level loops run with one GIL *per worker*.  Each worker
+  is a :class:`~repro.parallel.procworker.WorkerProcess`, the primitive
+  the job server's pool uses too; a worker that dies fails the region
+  with a :class:`~repro.parallel.pool.WorkerError` and retires the team.
 
 Region kernels have the signature ``fn(worker, start, stop, *args)`` over a
 half-open item range.  Under the process backend ``fn`` must be picklable
@@ -55,6 +58,12 @@ from repro.obs.tracer import get_tracer
 from repro.parallel.config import resolve_backend, resolve_threads
 from repro.parallel.partition import contiguous_blocks
 from repro.parallel.pool import ThreadPool, WorkerError, get_pool
+from repro.parallel.procworker import (
+    WorkerProcess,
+    mp_context,
+    pack_exception,
+    revive_exception,
+)
 from repro.parallel.reduction import parallel_reduce
 from repro.parallel.shm import ShmArena, ShmHandle, attach
 
@@ -199,8 +208,13 @@ class ThreadExecutor(Executor):
     def reduce(self, buffers: np.ndarray, label: str | None = None) -> np.ndarray:
         return parallel_reduce(buffers, self._pool)
 
+    @property
+    def _shut(self) -> bool:
+        # Follows the pool, which shutdown_all_pools() can retire behind
+        # this executor's back; the get_executor cache then replaces it.
+        return self._pool._shutdown
+
     def shutdown(self) -> None:
-        self._shut = True
         _evict_cached_executor(self)
         self._pool.shutdown()
 
@@ -227,9 +241,11 @@ class ProcessExecutor(Executor):
     num_workers:
         Team size; defaults to the package-wide thread count.
     start_method:
-        ``multiprocessing`` start method.  Defaults to ``REPRO_MP_START``
-        or ``"fork"`` where available (instant worker startup; workers
-        reset inherited runtime state), else ``"spawn"``.
+        ``multiprocessing`` start method, resolved by
+        :func:`~repro.parallel.procworker.mp_context`: defaults to
+        ``REPRO_MP_START``, else ``"fork"`` where available (instant
+        worker startup; workers reset inherited runtime state), else
+        ``"spawn"``.
 
     A team with ``num_workers == 1`` runs regions inline, exactly like a
     one-thread :class:`ThreadPool` — no processes, no segments.
@@ -248,19 +264,10 @@ class ProcessExecutor(Executor):
         self._region_lock = threading.Lock()
         self._shut = False
         self._arena: ShmArena | None = None
-        self._procs: list = []
-        self._conns: list = []
+        self._workers: list[WorkerProcess] = []
         if self.num_workers == 1:
             return
-        import multiprocessing as mp
-
-        if start_method is None:
-            start_method = os.environ.get("REPRO_MP_START", "").strip() or None
-        if start_method is None:
-            start_method = (
-                "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-            )
-        ctx = mp.get_context(start_method)
+        ctx = mp_context(start_method)
         self._arena = ShmArena()
         # Shared cursor for the dynamic schedule: created once (so it works
         # under fork inheritance and spawn argument passing alike), reset
@@ -268,17 +275,10 @@ class ProcessExecutor(Executor):
         self._cursor = ctx.Value("q", 0, lock=True)
         try:
             for rank in range(self.num_workers):
-                parent_conn, child_conn = ctx.Pipe()
-                proc = ctx.Process(
-                    target=_worker_main,
-                    args=(rank, child_conn, self._cursor),
-                    name=f"repro-procpool-{rank}",
-                    daemon=True,
-                )
-                proc.start()
-                child_conn.close()
-                self._procs.append(proc)
-                self._conns.append(parent_conn)
+                self._workers.append(WorkerProcess(
+                    rank, ctx, _worker_main, (self._cursor,),
+                    daemon=True, name=f"repro-procpool-{rank}",
+                ))
         except BaseException:
             self.shutdown()
             raise
@@ -363,28 +363,28 @@ class ProcessExecutor(Executor):
             ) from exc
 
         region_start = _clock()
-        for conn, payload in zip(self._conns, payloads):
-            conn.send_bytes(payload)
-
         errors: list[WorkerError] = []
         worker_seconds: list[float] = []
         replays: list[tuple[int, list, dict]] = []
         try:
-            for rank, conn in enumerate(self._conns):
-                msg = self._recv(rank, conn)
+            for worker, payload in zip(self._workers, payloads):
+                worker.send_bytes(payload)
+            for worker in self._workers:
+                msg = None
+                while msg is None:
+                    msg = worker.recv()
                 kind, elapsed = msg[0], msg[1]
                 if kind == "done":
                     _, _, spans, counters = msg
                     worker_seconds.append(elapsed)
-                    replays.append((rank, spans, counters))
+                    replays.append((worker.rank, spans, counters))
                 else:
-                    _, _, exc_bytes, exc_repr, tb_text = msg
-                    original = _revive_exception(exc_bytes, exc_repr, tb_text)
-                    errors.append(WorkerError(rank, original))
+                    original = revive_exception(*msg[2:])
+                    errors.append(WorkerError(worker.rank, original))
         except WorkerError:
             # A worker *process* died (not a Python exception in a kernel):
-            # the team is desynchronized beyond repair — tear it down so
-            # later regions fail fast instead of reading stale replies.
+            # the team is desynchronized beyond repair — tear it down (and
+            # out of the executor cache) so later regions get a fresh team.
             self.shutdown()
             raise
         region_end = _clock()
@@ -406,32 +406,6 @@ class ProcessExecutor(Executor):
             err = errors[0]
             err.others = tuple(errors[1:])
             raise err from err.original
-
-    def _recv(self, rank: int, conn):
-        proc = self._procs[rank]
-        while not conn.poll(0.05):
-            if not proc.is_alive():
-                # One last drain: the worker may have replied just before
-                # exiting (e.g. killed between send and the next recv).
-                if conn.poll(0):
-                    break
-                raise WorkerError(
-                    rank,
-                    RuntimeError(
-                        f"process worker {rank} died unexpectedly "
-                        f"(exitcode={proc.exitcode})"
-                    ),
-                )
-        try:
-            return pickle.loads(conn.recv_bytes())
-        except (EOFError, ConnectionError) as exc:
-            raise WorkerError(
-                rank,
-                RuntimeError(
-                    f"process worker {rank} closed its channel mid-region "
-                    f"({exc!r}, exitcode={proc.exitcode})"
-                ),
-            ) from None
 
     # -- shared allocations and reduction ------------------------------- #
 
@@ -483,39 +457,11 @@ class ProcessExecutor(Executor):
             return
         self._shut = True
         _evict_cached_executor(self)
-        for conn in self._conns:
-            try:
-                conn.send_bytes(pickle.dumps(("stop",)))
-            except (OSError, ValueError):
-                pass
-        for proc in self._procs:
-            proc.join(timeout=2.0)
-            if proc.is_alive():  # pragma: no cover - stuck worker
-                proc.terminate()
-                proc.join(timeout=1.0)
-        for conn in self._conns:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover
-                pass
-        self._conns.clear()
-        self._procs.clear()
+        for worker in self._workers:
+            worker.stop()
+        self._workers.clear()
         if self._arena is not None:
             self._arena.close()
-
-
-def _revive_exception(exc_bytes, exc_repr: str, tb_text: str) -> BaseException:
-    original: BaseException | None = None
-    if exc_bytes is not None:
-        try:
-            original = pickle.loads(exc_bytes)
-        except Exception:
-            original = None
-    if original is None:
-        original = RuntimeError(f"{exc_repr}\n{tb_text}")
-    else:
-        original.worker_traceback = tb_text
-    return original
 
 
 # --------------------------------------------------------------------- #
@@ -560,14 +506,13 @@ def reset_worker_runtime_state(
     if num_threads is not None:
         set_num_threads(num_threads)
     if blas_threads is not None:
-        try:
-            # One BLAS thread per leaf worker: the team supplies the
-            # parallelism; T workers x T BLAS threads would oversubscribe.
-            from repro.parallel.blas import set_blas_threads
+        # One BLAS thread per leaf worker: the team supplies the
+        # parallelism; T workers x T BLAS threads would oversubscribe.
+        # Missing control warns and counts inside set_blas_threads; an
+        # invalid count raises.
+        from repro.parallel.blas import set_blas_threads
 
-            set_blas_threads(blas_threads)
-        except Exception:  # pragma: no cover - best-effort
-            pass
+        set_blas_threads(blas_threads)
 
 
 def _resolve(spec, cache):
@@ -644,13 +589,7 @@ def _worker_main(rank: int, conn, cursor) -> None:
             )
             reply = ("done", elapsed, spans, counters)
         except BaseException as exc:  # noqa: BLE001 - reraised in parent
-            elapsed = _clock() - t0
-            tb_text = traceback.format_exc()
-            try:
-                exc_bytes = pickle.dumps(exc)
-            except Exception:
-                exc_bytes = None
-            reply = ("error", elapsed, exc_bytes, repr(exc), tb_text)
+            reply = ("error", _clock() - t0) + pack_exception(exc)
         finally:
             if local_tracer is not None:
                 tracer_disable()

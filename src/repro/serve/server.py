@@ -6,12 +6,12 @@
 * a bounded :class:`~repro.serve.queue.PriorityJobQueue` fed by
   :meth:`submit` (admission-checked, backpressure via
   :class:`~repro.serve.job.QueueFullError`),
-* a pool of :class:`~repro.serve.worker.WorkerHandle` processes, each
-  driven by one parent-side *tender* thread that pops jobs, dispatches
-  them, relays progress, detects worker death
-  (:class:`~repro.serve.worker.WorkerDied` -> fail only the in-flight
-  job(s) with a chained :class:`~repro.parallel.pool.WorkerError`,
-  respawn, keep serving),
+* a pool of :class:`~repro.parallel.procworker.WorkerProcess` workers
+  running :func:`~repro.serve.worker.serve_worker_main`, each driven by
+  one parent-side *tender* thread that pops jobs, dispatches them,
+  relays progress, detects worker death (a chained
+  :class:`~repro.parallel.pool.WorkerError` -> fail only the in-flight
+  job(s), respawn, keep serving),
 * the coalescing policy (:mod:`repro.serve.scheduler`): a tender pops
   with a group claim, and same-(shape, rank, dtype, options) small jobs
   ride one :func:`~repro.batch.fleet.cp_als_fleet` invocation when the
@@ -29,14 +29,14 @@ from __future__ import annotations
 
 import atexit
 import itertools
-import multiprocessing
-import os
 import threading
 import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from repro.parallel.pool import WorkerError
+from repro.parallel.procworker import WorkerProcess, mp_context, revive_exception
 from repro.serve import budget as _budget
 from repro.serve.job import (
     JobNotFoundError,
@@ -49,7 +49,7 @@ from repro.serve.job import (
 )
 from repro.serve.queue import PriorityJobQueue
 from repro.serve.scheduler import batching_pays, group_key
-from repro.serve.worker import WorkerDied, WorkerHandle
+from repro.serve.worker import serve_worker_main
 
 __all__ = ["ServeConfig", "JobServer", "JobHandle"]
 
@@ -85,8 +85,9 @@ class ServeConfig:
     poll_interval:
         Tender pipe-poll granularity in seconds.
     start_method:
-        ``multiprocessing`` start method for the worker pool; defaults
-        to ``$REPRO_MP_START`` or ``fork`` where available.
+        ``multiprocessing`` start method for the worker pool, resolved
+        by :func:`~repro.parallel.procworker.mp_context` (defaults to
+        ``$REPRO_MP_START``, else ``fork`` where available).
     paused:
         Start with dispatch paused (tests submit a deterministic batch,
         then :meth:`JobServer.resume`).
@@ -132,7 +133,7 @@ class _Job:
         self.group_size = 1
         self.result: JobResult | None = None
         self.done = threading.Event()
-        self.handle: WorkerHandle | None = None
+        self.handle: WorkerProcess | None = None
         self.token_sent = False
 
 
@@ -142,17 +143,6 @@ def _percentile(values: list[float], q: float) -> float:
     ordered = sorted(values)
     idx = min(len(ordered) - 1, int(round(q * (len(ordered) - 1))))
     return ordered[idx]
-
-
-def _mp_context(start_method: str | None):
-    method = start_method or os.environ.get("REPRO_MP_START")
-    if method is None:
-        method = (
-            "fork"
-            if "fork" in multiprocessing.get_all_start_methods()
-            else "spawn"
-        )
-    return multiprocessing.get_context(method)
 
 
 class JobHandle:
@@ -222,8 +212,14 @@ class JobServer:
         self._coalesced_jobs = 0
         self._dispatch_log: list[tuple[str, ...]] = []
 
-        ctx = _mp_context(config.start_method)
-        self._handles = [WorkerHandle(r, ctx) for r in range(config.workers)]
+        ctx = mp_context(config.start_method)
+        # Not daemonic: jobs may spawn process-backend teams, and
+        # daemonic processes cannot have children.
+        self._handles = [
+            WorkerProcess(r, ctx, serve_worker_main, daemon=False,
+                          name=f"repro-serve-worker-{r}")
+            for r in range(config.workers)
+        ]
         self._tenders = [
             threading.Thread(
                 target=self._tend, args=(h,), name=f"repro-serve-tender-{h.rank}",
@@ -362,7 +358,7 @@ class JobServer:
             job.token_sent = True
         try:
             handle.send(("cancel", job_id, reason))
-        except WorkerDied:
+        except WorkerError:
             # The tender will observe the death and fail the job anyway.
             return True
         return True
@@ -458,7 +454,7 @@ class JobServer:
                         job.handle.send(
                             ("cancel", job.job_id, "server shutdown")
                         )
-                    except WorkerDied:
+                    except WorkerError:
                         pass
         self._resume.set()
         self.wait_idle(timeout)
@@ -485,7 +481,7 @@ class JobServer:
     # Tender loop (one thread per worker)
     # ------------------------------------------------------------------ #
 
-    def _tend(self, handle: WorkerHandle) -> None:
+    def _tend(self, handle: WorkerProcess) -> None:
         cfg = self.config
         group_limit = cfg.batch_limit if cfg.batching else 1
 
@@ -531,7 +527,7 @@ class JobServer:
 
     # -- dispatch ------------------------------------------------------- #
 
-    def _mark_running(self, jobs: list[_Job], handle: WorkerHandle,
+    def _mark_running(self, jobs: list[_Job], handle: WorkerProcess,
                       batched: bool) -> None:
         now = _clock()
         with self._lock:
@@ -592,36 +588,36 @@ class JobServer:
             "timeout_remaining": None,
         }
 
-    def _run_solo(self, handle: WorkerHandle, job: _Job) -> None:
+    def _run_solo(self, handle: WorkerProcess, job: _Job) -> None:
         self._mark_running([job], handle, batched=False)
         self._dispatch([job], handle, self._solo_payload(job))
 
-    def _run_group(self, handle: WorkerHandle, jobs: list[_Job]) -> None:
+    def _run_group(self, handle: WorkerProcess, jobs: list[_Job]) -> None:
         self._mark_running(jobs, handle, batched=True)
         self._dispatch(jobs, handle, self._group_payload(jobs))
 
-    def _dispatch(self, jobs: list[_Job], handle: WorkerHandle,
+    def _dispatch(self, jobs: list[_Job], handle: WorkerProcess,
                   payload: dict) -> None:
         try:
             handle.send(("job", payload))
-        except WorkerDied:
+        except WorkerError:
             # Dead before the job ever started: respawn and retry once
             # (the retry cannot double-run — nothing was dispatched).
             handle.respawn()
             try:
                 handle.send(("job", payload))
-            except WorkerDied as died:
+            except WorkerError as died:
                 self._fail_with_death(jobs, died)
                 return
         self._await(jobs, handle)
 
-    def _await(self, jobs: list[_Job], handle: WorkerHandle) -> None:
+    def _await(self, jobs: list[_Job], handle: WorkerProcess) -> None:
         """Pump the worker pipe until this dispatch resolves."""
         head_id = jobs[0].job_id
         while True:
             try:
                 msg = handle.recv(timeout=self.config.poll_interval)
-            except WorkerDied as died:
+            except WorkerError as died:
                 self._fail_with_death(jobs, died)
                 handle.respawn()
                 return
@@ -643,16 +639,7 @@ class JobServer:
                     self._complete(job, rd)
             elif kind == "failed":
                 _, _, exc_bytes, exc_repr, tb_text = msg
-                exc: BaseException
-                if exc_bytes is not None:
-                    import pickle
-
-                    try:
-                        exc = pickle.loads(exc_bytes)
-                    except Exception:
-                        exc = RuntimeError(exc_repr)
-                else:
-                    exc = RuntimeError(exc_repr)
+                exc = revive_exception(exc_bytes, exc_repr, tb_text)
                 for job in jobs:
                     self._finalize(
                         job, JobState.FAILED,
@@ -671,11 +658,10 @@ class JobServer:
                     self._finalize(job, state, error=reason)
             return
 
-    def _fail_with_death(self, jobs: list[_Job], died: WorkerDied) -> None:
+    def _fail_with_death(self, jobs: list[_Job], died: WorkerError) -> None:
         for job in jobs:
-            err = died.as_worker_error()
             self._finalize(
-                job, JobState.FAILED, error=str(err), exception=err,
+                job, JobState.FAILED, error=str(died), exception=died,
             )
 
     # -- completion ----------------------------------------------------- #

@@ -1,20 +1,22 @@
 """Service worker processes: run decompositions, stream progress, survive.
 
-One :class:`WorkerHandle` per pool slot.  The child process
-(:func:`serve_worker_main`) is deliberately simple — a message loop that
-runs **one job at a time** on a private thread while the loop itself
-keeps polling the pipe, so cancellation messages land mid-run and are
-delivered to the job through its :class:`~repro.util.cancel.CancelToken`
-(checked by the drivers at iteration boundaries).
+This module is the child side of one pool slot: :func:`serve_worker_main`
+runs inside a :class:`~repro.parallel.procworker.WorkerProcess` that the
+server owns.  It is deliberately simple — a message loop that runs **one
+job at a time** on a private thread while the loop itself keeps polling
+the pipe, so cancellation messages land mid-run and are delivered to the
+job through its :class:`~repro.util.cancel.CancelToken` (checked by the
+drivers at iteration boundaries).
 
 Robustness contract (the fault-injection suite pins this):
 
 * a worker process dying mid-job — SIGKILL, OOM, segfault — is detected
   by the parent tender through the pipe + liveness probe
-  (:meth:`WorkerHandle.recv`), fails **only the job(s) it was running**
-  with a :class:`~repro.parallel.pool.WorkerError` whose ``__cause__``
-  records the death, and the handle respawns a fresh process
-  (:meth:`WorkerHandle.respawn`) so the pool keeps serving;
+  (:meth:`~repro.parallel.procworker.WorkerProcess.recv`), fails **only
+  the job(s) it was running** with a
+  :class:`~repro.parallel.pool.WorkerError` whose ``__cause__`` records
+  the death, and the server respawns a fresh process so the pool keeps
+  serving;
 * a Python exception *inside* a job (singular solve, bad ref file) is
   caught in the worker, shipped back pickled, and fails only that job —
   the process survives and takes the next one.
@@ -27,41 +29,18 @@ protocol + terminate/kill escalation + atexit sweep).
 
 from __future__ import annotations
 
-import os
 import pickle
 import threading
 import time
-import traceback
 from contextlib import nullcontext
 
 import numpy as np
 
-from repro.parallel.pool import WorkerError
+from repro.parallel.procworker import pack_exception
 
-__all__ = ["WorkerHandle", "WorkerDied", "serve_worker_main"]
+__all__ = ["serve_worker_main"]
 
 _clock = time.monotonic
-
-
-class WorkerDied(RuntimeError):
-    """Parent-side signal: the worker process is gone (raised by recv)."""
-
-    def __init__(self, rank: int, detail: str) -> None:
-        super().__init__(f"serve worker {rank} died: {detail}")
-        self.rank = rank
-        self.detail = detail
-
-    def as_worker_error(self) -> WorkerError:
-        """The job-facing error: ``WorkerError`` chained to the death."""
-        cause = RuntimeError(str(self))
-        err = WorkerError(self.rank, cause)
-        err.__cause__ = cause  # chained like a raised `raise ... from`
-        return err
-
-
-# --------------------------------------------------------------------- #
-# Child process
-# --------------------------------------------------------------------- #
 
 
 def _execute_payload(payload: dict, token) -> object:
@@ -84,12 +63,7 @@ def _execute_payload(payload: dict, token) -> object:
     except Cancelled as exc:
         return ("cancelled", job_id, exc.reason)
     except BaseException as exc:  # noqa: BLE001 - shipped to the parent
-        tb_text = traceback.format_exc()
-        try:
-            exc_bytes = pickle.dumps(exc)
-        except Exception:
-            exc_bytes = None
-        return ("failed", job_id, exc_bytes, repr(exc), tb_text)
+        return ("failed", job_id) + pack_exception(exc)
     if payload["kind"] == "solo":
         return ("done", job_id, results[0])
     return ("done-group", job_id, results)
@@ -234,121 +208,3 @@ def serve_worker_main(rank: int, conn) -> None:
                 send(reply_box[0])
             except (OSError, ValueError):  # parent went away
                 break
-
-
-# --------------------------------------------------------------------- #
-# Parent side
-# --------------------------------------------------------------------- #
-
-
-class WorkerHandle:
-    """Parent-side handle: spawn / message / detect death / respawn."""
-
-    def __init__(self, rank: int, ctx) -> None:
-        self.rank = rank
-        self._ctx = ctx
-        self._proc = None
-        self._conn = None
-        self.respawns = 0
-        # Dispatch (tender thread) and cancellation (client thread) both
-        # send; a Connection tolerates one concurrent sender only.
-        self._send_lock = threading.Lock()
-        self.spawn()
-
-    # -- lifecycle ------------------------------------------------------ #
-
-    def spawn(self) -> None:
-        parent_conn, child_conn = self._ctx.Pipe()
-        proc = self._ctx.Process(
-            target=serve_worker_main,
-            args=(self.rank, child_conn),
-            name=f"repro-serve-worker-{self.rank}",
-            daemon=False,  # jobs may spawn process-backend teams
-        )
-        proc.start()
-        child_conn.close()
-        self._proc = proc
-        self._conn = parent_conn
-
-    def respawn(self) -> None:
-        """Replace a dead (or wedged) process with a fresh one."""
-        self._teardown(graceful=False)
-        self.respawns += 1
-        self.spawn()
-
-    def stop(self, timeout: float = 2.0) -> None:
-        self._teardown(graceful=True, timeout=timeout)
-
-    def _teardown(self, graceful: bool, timeout: float = 2.0) -> None:
-        proc, conn = self._proc, self._conn
-        self._proc = self._conn = None
-        if conn is not None and graceful and proc is not None and proc.is_alive():
-            try:
-                conn.send_bytes(pickle.dumps(("stop",)))
-            except (OSError, ValueError):
-                pass
-        if proc is not None:
-            proc.join(timeout if graceful else 0.1)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(1.0)
-            if proc.is_alive():  # pragma: no cover - stuck in C code
-                proc.kill()
-                proc.join(1.0)
-        if conn is not None:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover
-                pass
-
-    # -- messaging ------------------------------------------------------ #
-
-    @property
-    def pid(self) -> int | None:
-        return self._proc.pid if self._proc is not None else None
-
-    def alive(self) -> bool:
-        return self._proc is not None and self._proc.is_alive()
-
-    def send(self, msg) -> None:
-        """Ship a message; raises :class:`WorkerDied` on a broken pipe."""
-        conn = self._conn
-        if conn is None:
-            raise WorkerDied(self.rank, "no process")
-        try:
-            with self._send_lock:
-                conn.send_bytes(pickle.dumps(msg))
-        except (OSError, ValueError) as exc:
-            raise WorkerDied(self.rank, f"pipe send failed ({exc!r})") from None
-
-    def recv(self, timeout: float = 0.05):
-        """One message, or ``None`` on timeout; :class:`WorkerDied` on death.
-
-        Mirrors :meth:`ProcessExecutor._recv`: after the process exits, a
-        final drain attempt still returns a reply that raced the death.
-        """
-        conn, proc = self._conn, self._proc
-        if conn is None or proc is None:
-            raise WorkerDied(self.rank, "no process")
-        if not conn.poll(timeout):
-            if proc.is_alive():
-                return None
-            if not conn.poll(0):
-                raise WorkerDied(
-                    self.rank, f"exitcode={proc.exitcode}"
-                )
-        try:
-            return pickle.loads(conn.recv_bytes())
-        except (EOFError, OSError, ConnectionError) as exc:
-            raise WorkerDied(
-                self.rank,
-                f"channel closed mid-job ({exc!r}, exitcode={proc.exitcode})",
-            ) from None
-
-    def kill(self) -> None:
-        """Hard-kill the process (fault-injection hook; SIGKILL)."""
-        if self._proc is not None and self._proc.pid is not None:
-            try:
-                os.kill(self._proc.pid, 9)
-            except ProcessLookupError:  # pragma: no cover - already gone
-                pass

@@ -1,14 +1,12 @@
-"""Tests for the regression tracker and the legacy-results migration."""
+"""Tests for the regression tracker and the committed results history."""
 
 import json
 import os
-import shutil
 
 import pytest
 
 from repro.bench.cli import main as cli_main
 from repro.bench.env import host_class_of
-from repro.bench.migrate import migrate_results
 from repro.bench.schema import load_history, new_record, write_results
 from repro.bench.trend import (
     EXIT_OK,
@@ -222,58 +220,10 @@ class TestTrendCLI:
 
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-ARCHIVE = os.path.join(REPO_ROOT, "results", "archive")
 
 
-@pytest.mark.skipif(not os.path.isdir(ARCHIVE),
-                    reason="legacy archive not present")
-class TestMigration:
-    def _migrate(self, tmp_path):
-        results = tmp_path / "results"
-        results.mkdir()
-        for name in os.listdir(ARCHIVE):
-            shutil.copy(os.path.join(ARCHIVE, name), results / name)
-        written = migrate_results(str(results))
-        return results, written
-
-    def test_converts_all_three(self, tmp_path):
-        results, written = self._migrate(tmp_path)
-        assert {os.path.basename(p) for p in written} == {
-            "backend.bench.json", "dimtree.bench.json", "tune.bench.json",
-        }
-        # originals archived, not deleted
-        archived = os.listdir(results / "archive")
-        assert sorted(archived) == [
-            "BENCH_backend.json", "BENCH_dimtree.json", "BENCH_tune.json",
-        ]
-
-    def test_migrated_records_are_loadable_baselines(self, tmp_path):
-        results, _ = self._migrate(tmp_path)
-        history = load_history(str(results))
-        assert len(history) >= 20
-        baselines = select_baselines(history, "best")
-        # the legacy 1-CPU container records must be trend-comparable
-        # with current-suite case ids on the same host class
-        assert ("autotune", "cold", "x86_64-1cpu") in baselines
-        assert ("autotune", "policy/auto", "x86_64-1cpu") in baselines
-        assert ("dimtree", "cpals-3D/per-mode/T1", "x86_64-1cpu") in baselines
-        assert ("dimtree", "node/batched", "x86_64-1cpu") in baselines
-        assert ("pool-overhead", "backend-krp/thread/T2",
-                "x86_64-1cpu") in baselines
-
-    def test_migrated_context_keeps_provenance(self, tmp_path):
-        results, _ = self._migrate(tmp_path)
-        history = load_history(str(results))
-        rec = next(r for r in history if r["benchmark"] == "autotune")
-        assert rec["context"]["source"] == "migrated"
-        assert rec["context"]["legacy_file"] == "BENCH_tune.json"
-
-    def test_idempotent(self, tmp_path):
-        results, _ = self._migrate(tmp_path)
-        assert migrate_results(str(results)) == []
-
-    def test_committed_results_dir_is_migrated(self):
-        # the repo's own results/ must already hold the normalized files
-        history = load_history(os.path.join(REPO_ROOT, "results"))
-        names = {r["benchmark"] for r in history}
-        assert {"pool-overhead", "dimtree", "autotune"} <= names
+def test_committed_results_dir_is_migrated():
+    # the repo's own results/ must already hold the normalized files
+    history = load_history(os.path.join(REPO_ROOT, "results"))
+    names = {r["benchmark"] for r in history}
+    assert {"pool-overhead", "dimtree", "autotune"} <= names

@@ -7,6 +7,7 @@ importing this module.
 
 import contextlib
 import os
+import signal
 
 import numpy as np
 import pytest
@@ -17,10 +18,11 @@ from repro.parallel.backend import (
     ProcessExecutor,
     ThreadExecutor,
     get_executor,
+    reset_worker_runtime_state,
     shutdown_all_executors,
 )
 from repro.parallel.config import set_backend, use_backend
-from repro.parallel.pool import WorkerError
+from repro.parallel.pool import WorkerError, shutdown_all_pools
 from repro.parallel.reduction import parallel_reduce
 from repro.parallel.shm import ShmArena, ShmHandle, attach
 from repro.tensor.dense import DenseTensor
@@ -58,6 +60,11 @@ def k_traced(worker, start, stop, out):
     with tracer.span("inner_work", worker=worker):
         out[start:stop] = 1.0
     tracer.add_counter("items_done", stop - start)
+
+
+def k_sigkill_rank1(worker, start, stop):
+    if worker == 1:
+        os.kill(os.getpid(), signal.SIGKILL)
 
 
 def k_unpicklable_closure():  # placeholder; real test uses a lambda
@@ -327,6 +334,15 @@ class TestGetExecutor:
         fresh.parallel_for(k_fill_ranges, 4, args=(out,))
         np.testing.assert_array_equal(out, np.arange(4.0))
 
+    def test_pool_shutdown_retires_cached_thread_executor(self):
+        ex = get_executor(2, backend="thread")
+        shutdown_all_pools()
+        fresh = get_executor(2, backend="thread")
+        assert fresh is not ex
+        out = fresh.allocate_shared((4,))
+        fresh.parallel_for(k_fill_ranges, 4, args=(out,))
+        np.testing.assert_array_equal(out, np.arange(4.0))
+
     def test_backend_selection_follows_config(self):
         with use_backend("process"):
             ex = get_executor(2)
@@ -343,3 +359,54 @@ class TestGetExecutor:
 
     def test_default_backend_is_thread(self):
         assert isinstance(get_executor(2), ThreadExecutor)
+
+
+class TestProcessWorkerDeath:
+    """A dead worker process fails the region with a chained WorkerError,
+    retires the team, and leaves the cache to build a fresh one."""
+
+    def teardown_method(self):
+        shutdown_all_executors()
+
+    def _assert_death_retires_team(self, ex, run_region):
+        with pytest.raises(WorkerError) as excinfo:
+            run_region()
+        assert excinfo.value.worker == 1
+        assert isinstance(excinfo.value.__cause__, RuntimeError)
+        assert "died" in str(excinfo.value.__cause__)
+        assert ex._shut
+        with pytest.raises(RuntimeError, match="shut down"):
+            ex.parallel_for(k_fill_ranges, 4, args=(np.zeros(4),))
+        fresh = get_executor(2, backend="process")
+        assert fresh is not ex
+        out = fresh.allocate_shared((10,))
+        fresh.parallel_for(k_fill_ranges, 10, args=(out,))
+        np.testing.assert_array_equal(out, np.arange(10.0))
+
+    def test_death_between_regions(self):
+        ex = get_executor(2, backend="process")
+        out = ex.allocate_shared((6,))
+        ex.parallel_for(k_fill_ranges, 6, args=(out,))
+        victim = ex._workers[1]._proc
+        victim.kill()
+        victim.join(5.0)
+        assert not victim.is_alive()
+        self._assert_death_retires_team(
+            ex, lambda: ex.parallel_for(k_fill_ranges, 6, args=(out,))
+        )
+
+    def test_death_mid_region(self):
+        ex = get_executor(2, backend="process")
+        self._assert_death_retires_team(
+            ex, lambda: ex.parallel_for(k_sigkill_rank1, 2)
+        )
+
+
+def test_worker_reset_does_not_swallow_invalid_blas_count():
+    # The reset clears the caches without retiring what they hold.
+    shutdown_all_executors()
+    shutdown_all_pools()
+    with pytest.raises(ValueError, match="thread count"):
+        reset_worker_runtime_state(
+            num_threads=None, blas_threads=0, leaf_worker=False
+        )
