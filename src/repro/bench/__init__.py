@@ -1,8 +1,9 @@
 """Benchmark harness: registry, normalized results, regression trends.
 
 * :mod:`~repro.bench.registry` — name → :class:`BenchSpec` registry of
-  every runnable benchmark (fig4–fig8, dimtree, autotune, pool-overhead,
-  ablations); ``run_benchmark`` executes any of them at a chosen scale;
+  every runnable benchmark (fig4–fig8, dimtree, autotune, blocked,
+  pool-overhead, ablations, batch, serve); ``run_benchmark`` executes
+  any of them at a chosen scale;
 * :mod:`~repro.bench.schema` — the one normalized result record every
   producer emits (timing stats + obs counters + host fingerprint + git
   rev), with validating writer/loader for ``results/*.bench.json``;

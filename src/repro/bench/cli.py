@@ -160,6 +160,9 @@ def _cmd_trend(args) -> int:
     )
     print(f"host-class: {host_class()}")
     trend_mod.render_text(result)
+    warning = trend_mod.missing_baseline_warning(result)
+    if warning:
+        print(warning, file=sys.stderr)
     if args.chart:
         from repro.bench.plot import ratio_chart
 

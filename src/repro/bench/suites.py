@@ -4,9 +4,10 @@ Each runner measures a bounded, representative set of points for its
 benchmark at the requested ``scale`` (volumetric fraction of the paper
 workload) and returns normalized schema records.  Exhaustive sweeps
 remain available through the figure drivers
-(``python -m repro.bench.figures``) and the pytest-benchmark suite under
-``benchmarks/``; the registry's job is a *stable, comparable* set of
-cases the trend tracker can diff across PRs.
+(``python -m repro.bench.figures``); the registry's job is a *stable,
+comparable* set of cases the trend tracker can diff across PRs.  Every
+measured claim in DESIGN.md and EXPERIMENTS.md cites one of these cases
+as ``suite:case``.
 
 Case ids are contract: ``repro.bench.trend`` matches history on
 ``(benchmark, case, host_class)``, so renaming a case silently orphans
@@ -14,6 +15,8 @@ its baselines.  Add cases freely; rename them only with a migration.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -371,7 +374,8 @@ def _run_blocked(scale, threads, repeats, rng):
 
 @register(
     "pool-overhead",
-    title="Pool/backend substrate: region launch, reduction, backend costs",
+    title="Pool/backend substrate: region launch, reduction, schedules, "
+          "backend costs",
     tags=("parallel",),
     default_scale=1.0,
     default_repeats=5,
@@ -418,6 +422,23 @@ def _run_pool_overhead(scale, threads, repeats, rng):
             params={"backend": backend, "threads": T, "Z": 3, "C": 16},
             repeats=repeats,
         ))
+    # Static vs dynamic schedule where item i costs O(i) (static's worst).
+    pool = get_pool(T)
+    blocks = [np.ones((64 * (i + 1), 16)) for i in range(64)]
+    sums = np.empty((len(blocks), 16))
+
+    def column_sums(t, start, stop):
+        for i in range(start, stop):
+            sums[i] = blocks[i].sum(axis=0)
+
+    for schedule, chunk in (("static", None), ("dynamic", 2)):
+        records.append(measure_case(
+            "pool-overhead", f"schedule/{schedule}",
+            lambda schedule=schedule, chunk=chunk: pool.parallel_for(
+                column_sums, len(blocks), schedule=schedule, chunk=chunk),
+            params={"threads": T, "items": len(blocks), "schedule": schedule},
+            repeats=repeats,
+        ))
     return records
 
 
@@ -430,21 +451,69 @@ def _noop_kernel(worker, start, stop):
 # --------------------------------------------------------------------- #
 
 
+def _accumulated_internal_mttkrp(X, U, n, strategy, threads):
+    """Internal-mode 1-step MTTKRP with one of two accumulation schemes.
+
+    ``"private"`` is the paper's choice: per-thread private outputs and a
+    tree reduction.  ``"locked"`` is the alternative it rejects: one
+    shared output whose every chunk update serializes through a lock.
+    Both use the same dynamic chunking, so only the accumulation differs.
+    """
+    from repro.core.krp import krp_rows
+    from repro.core.krp_parallel import khatri_rao_parallel
+    from repro.parallel.pool import get_pool
+    from repro.parallel.reduction import allocate_private, parallel_reduce
+    from repro.tensor.layout import mode_products
+
+    p = mode_products(X.shape, n)
+    KL = khatri_rao_parallel(
+        [np.asarray(U[k]) for k in range(n - 1, -1, -1)], num_threads=threads
+    )
+    right_ops = [np.asarray(U[k]) for k in range(X.ndim - 1, n, -1)]
+    blocks3 = X.mode_blocks_view(n)
+    pool = get_pool(threads)
+    if strategy == "private":
+        out = allocate_private(threads, (p.size, U[0].shape[1]))
+
+        def accumulate(t, update):
+            out[t] += update
+    else:
+        out, lock = np.zeros((p.size, U[0].shape[1])), threading.Lock()
+
+        def accumulate(t, update):
+            with lock:
+                out[...] += update
+
+    def work(t, j0, j1):
+        Kt = krp_rows(right_ops, j0, j1)[:, None, :] * KL[None, :, :]
+        accumulate(t, np.matmul(blocks3[j0:j1], Kt).sum(axis=0))
+
+    pool.parallel_for(work, p.right, schedule="dynamic", chunk=8)
+    return parallel_reduce(out, pool) if strategy == "private" else out
+
+
 @register(
     "ablations",
     title="Design ablations: 2-step side rule, 1-step KRP streaming, "
-          "KRP reuse depth",
+          "KRP reuse depth, CP-ALS dispatch, reorder avoidance, blocked "
+          "2-step, private vs locked accumulation",
     tags=("ablation",),
     default_scale=0.1,
 )
 def _run_ablations(scale, threads, repeats, rng):
+    from repro.core.dispatch import mttkrp
     from repro.core.krp_parallel import khatri_rao_parallel
     from repro.core.mttkrp_baseline import mttkrp_baseline
     from repro.core.mttkrp_onestep import (
         mttkrp_onestep,
         mttkrp_onestep_sequential,
     )
-    from repro.core.mttkrp_twostep import choose_side, mttkrp_twostep
+    from repro.core.mttkrp_twostep import (
+        choose_side,
+        mttkrp_twostep,
+        mttkrp_twostep_blocked,
+    )
+    from repro.cpd.cp_als import cp_als
 
     records = []
     skewed = scaled_shape((40, 80, 400), 25 * scale * 0.004)
@@ -487,6 +556,62 @@ def _run_ablations(scale, threads, repeats, rng):
                 mats, num_threads=1, schedule=schedule),
             params={"Z": 4, "C": 25, "rows": d ** 4, "schedule": schedule,
                     "threads": 1},
+            repeats=repeats,
+        ))
+    # One per-mode CP-ALS iteration on a 4-way tensor: the paper's policy
+    # (1-step external, 2-step internal) vs all-1-step vs the baseline.
+    shape4 = scaled_shape((165,) * 4, 2 * scale * 0.004)
+    X4 = random_tensor(shape4, rng=rng + 3)
+    init = random_factors(shape4, 16, rng=rng + 4)
+    for method in ("auto", "onestep", "baseline"):
+        records.append(measure_case(
+            "ablations", f"cpals-dispatch/{method}",
+            lambda method=method: cp_als(
+                X4, 16, n_iter_max=1, tol=0.0, init=init, method=method,
+                mode_strategy="per-mode", num_threads=1),
+            params={"shape": list(shape4), "rank": 16, "method": method,
+                    "threads": 1},
+            repeats=repeats,
+        ))
+    # Mode 2 of the Fig. 5 N=5 workload, shared by the remaining cases.
+    shape5 = scaled_shape((60,) * 5, 8 * scale * 0.004)
+    X5 = random_tensor(shape5, rng=rng + 5)
+    U5 = random_factors(shape5, 25, rng=rng + 6)
+    base5 = {"shape": list(shape5), "rank": 25, "mode": 2}
+    # Zero-copy views vs the straightforward baseline's explicit reorder.
+    for method in ("onestep", "twostep", "baseline"):
+        records.append(measure_case(
+            "ablations", f"reorder/{method}",
+            lambda method=method: mttkrp(
+                X5, U5, 2, method=method, num_threads=1),
+            params={**base5, "method": method, "threads": 1},
+            repeats=repeats,
+        ))
+    # Vannieuwenhoven et al. [25]: capping the 2-step intermediate at a
+    # memory budget should not hurt performance.
+    for label, budget in (("unblocked", None), ("1e7", 10**7),
+                          ("1e5", 10**5), ("1e4", 10**4)):
+        records.append(measure_case(
+            "ablations", f"twostep-blocked/{label}",
+            lambda budget=budget: (
+                mttkrp_twostep(X5, U5, 2, num_threads=1) if budget is None
+                else mttkrp_twostep_blocked(X5, U5, 2, budget, num_threads=1)
+            ),
+            params={**base5, "budget": budget, "threads": 1},
+            repeats=repeats,
+        ))
+    # DESIGN decision 5; each scheme must match the 1-step kernel before
+    # it is timed.
+    acc_threads = 4
+    reference = mttkrp(X5, U5, 2, method="onestep", num_threads=1)
+    for strategy in ("private", "locked"):
+        got = _accumulated_internal_mttkrp(X5, U5, 2, strategy, acc_threads)
+        np.testing.assert_allclose(got, reference, atol=1e-8)
+        records.append(measure_case(
+            "ablations", f"accumulation/{strategy}",
+            lambda strategy=strategy: _accumulated_internal_mttkrp(
+                X5, U5, 2, strategy, acc_threads),
+            params={**base5, "strategy": strategy, "threads": acc_threads},
             repeats=repeats,
         ))
     return records

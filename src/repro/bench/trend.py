@@ -32,6 +32,7 @@ __all__ = [
     "TrendResult",
     "Comparison",
     "compare",
+    "missing_baseline_warning",
     "render_text",
     "render_json",
     "EXIT_OK",
@@ -256,6 +257,23 @@ def render_text(result: TrendResult, out=None) -> None:
     if result.regressions:
         names = sorted({f"{c.benchmark}:{c.case}" for c in result.regressions})
         print("REGRESSED: " + ", ".join(names), file=out)
+
+
+def missing_baseline_warning(result: TrendResult) -> str | None:
+    """A ``WARNING:`` line naming the host class and the command that
+    records a baseline, when no current case had one (so none can fail)."""
+    if not result.comparisons or any(
+        c.status != "no-baseline" for c in result.comparisons
+    ):
+        return None
+    classes = ", ".join(sorted({c.host_class for c in result.comparisons}))
+    names = sorted({c.benchmark for c in result.comparisons})
+    return (
+        f"WARNING: no committed baseline for host class {classes}, so "
+        f"nothing was compared; record one with 'repro-bench run "
+        f"{' '.join(names)} --out results/{'-'.join(names)}.bench.json', "
+        f"then commit the file"
+    )
 
 
 def render_json(result: TrendResult) -> dict:

@@ -73,7 +73,14 @@ class QueueFullError(ServeError):
 
 
 class JobNotFoundError(ServeError, KeyError):
-    """An id that was never issued (or was evicted from the registry)."""
+    """An id that no job admitted by this server carries.
+
+    :class:`repro.serve.JobServer` keeps every admitted job, finished or
+    not, for the server's whole lifetime; nothing is evicted.  So the id
+    of any returned :class:`repro.serve.JobHandle` always resolves; this
+    error means the id is foreign, mistyped, or belonged to a submission
+    that was shed with :class:`QueueFullError`.
+    """
 
     def __init__(self, job_id: str) -> None:
         super().__init__(f"unknown job id {job_id!r}")

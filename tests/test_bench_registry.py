@@ -17,6 +17,17 @@ EXPECTED = {
     "dimtree", "autotune", "pool-overhead", "ablations", "blocked",
 }
 
+ABLATION_CASES = {
+    "twostep-side/auto", "twostep-side/left", "twostep-side/right",
+    "seq-variant/baseline", "seq-variant/onestep-seq", "seq-variant/onestep",
+    "krp-depth4/reuse", "krp-depth4/naive",
+    "cpals-dispatch/auto", "cpals-dispatch/onestep", "cpals-dispatch/baseline",
+    "reorder/onestep", "reorder/twostep", "reorder/baseline",
+    "twostep-blocked/unblocked", "twostep-blocked/1e7",
+    "twostep-blocked/1e5", "twostep-blocked/1e4",
+    "accumulation/private", "accumulation/locked",
+}
+
 
 class TestRegistry:
     def test_all_benchmarks_registered(self):
@@ -49,6 +60,15 @@ class TestRegistry:
             assert record["host"]["git_rev"]
             assert record["context"]["source"] == "repro-bench"
             assert record["context"]["scale"] == 0.01
+        # Reaching here also ran the runner's accumulation-vs-1-step check.
+        assert {r["case"] for r in records} == ABLATION_CASES
+
+    def test_pool_overhead_schedule_cases(self):
+        records = run_benchmark("pool-overhead", scale=0.01, repeats=1)
+        schedules = {r["case"]: r["params"]["schedule"] for r in records
+                     if r["case"].startswith("schedule/")}
+        assert schedules == {"schedule/static": "static",
+                             "schedule/dynamic": "dynamic"}
 
     def test_measured_record_has_obs_counters(self):
         records = run_benchmark(

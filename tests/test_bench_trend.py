@@ -207,6 +207,26 @@ class TestTrendCLI:
         ])
         assert code == EXIT_OK
 
+    def test_warns_when_nothing_has_a_baseline(self, tmp_path, capsys):
+        """A run with no same-host-class baseline passes but says so."""
+        results, current = self._seed(tmp_path, 1.0, 9.0)
+        write_results(os.path.join(results, "history.bench.json"),
+                      [_rec("fig5", "a", 1.0, host=HOST_B)])
+        assert cli_main(["trend", "--results", results,
+                         "--current", current]) == EXIT_OK
+        warning, = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("WARNING:")]
+        assert host_class_of(HOST_A) in warning
+        assert "repro-bench run fig5 --out results/fig5.bench.json" in warning
+
+    def test_no_warning_when_any_case_has_a_baseline(self, tmp_path, capsys):
+        results, current = self._seed(tmp_path, 1.0, 1.0)
+        write_results(current, [_rec("fig5", "a", 1.0),
+                                _rec("fig5", "new-case", 1.0)])
+        assert cli_main(["trend", "--results", results,
+                         "--current", current]) == EXIT_OK
+        assert "WARNING" not in capsys.readouterr().err
+
     def test_current_excluded_from_history(self, tmp_path):
         # a current file living inside results/ must not self-baseline
         results = tmp_path / "results"
