@@ -51,9 +51,23 @@ _searched = False
 _control_expected = False
 
 
-def _candidate_paths() -> list[str]:
-    """Shared objects that may expose openblas_set_num_threads."""
-    paths: list[str] = []
+def _candidate_paths():
+    """Shared objects that may expose openblas_set_num_threads, cheapest
+    lookups first.
+
+    A generator, so :func:`_load` stops at the first library that
+    exports the control: ``ctypes.util.find_library`` runs ``ldconfig``
+    and the compiler in subprocesses, which costs tens of milliseconds
+    and is only reached when numpy's own OpenBLAS was not found.
+    """
+    seen: set[str] = set()
+
+    def fresh(paths):
+        for p in paths:
+            if p not in seen:
+                seen.add(p)
+                yield p
+
     try:
         import numpy
 
@@ -64,29 +78,22 @@ def _candidate_paths() -> list[str]:
             os.path.join(numpy_dir, "..", "scipy_openblas64", "lib", "*.so*"),
             os.path.join(numpy_dir, "..", "scipy_openblas32", "lib", "*.so*"),
         ):
-            paths.extend(sorted(glob.glob(pattern)))
+            yield from fresh(sorted(glob.glob(pattern)))
     except Exception:  # pragma: no cover - numpy always importable here
         pass
     # Already-mapped libraries (covers system OpenBLAS).
     try:
         with open("/proc/self/maps") as fh:
-            for line in fh:
-                part = line.strip().split()
-                if part and "openblas" in part[-1].lower():
-                    paths.append(part[-1])
+            mapped = [
+                part[-1] for part in (line.split() for line in fh)
+                if part and "openblas" in part[-1].lower()
+            ]
+        yield from fresh(mapped)
     except OSError:  # pragma: no cover - non-Linux
         pass
     found = ctypes.util.find_library("openblas")
     if found:
-        paths.append(found)
-    # Preserve order, drop duplicates.
-    seen: set[str] = set()
-    unique = []
-    for p in paths:
-        if p not in seen:
-            seen.add(p)
-            unique.append(p)
-    return unique
+        yield from fresh([found])
 
 
 def _numpy_links_openblas() -> bool:

@@ -76,11 +76,21 @@ def revive_exception(exc_bytes, exc_repr: str, tb_text: str) -> BaseException:
     return original
 
 
+def _child_main(target, parent_end, rank, conn, *args) -> None:
+    # A forked child starts with a copy of the parent's end of its own
+    # pipe; while that copy is open, ``conn`` never reports EOF when the
+    # parent goes away.
+    if parent_end is not None:
+        parent_end.close()
+    target(rank, conn, *args)
+
+
 class WorkerProcess:
     """Parent-side owner of one worker process and its pipe.
 
     The child runs ``target(rank, conn, *args)`` and exchanges pickled
-    messages on ``conn``; the tuple ``("stop",)`` asks it to return.
+    messages on ``conn``; the tuple ``("stop",)`` asks it to return, and
+    ``conn`` reports EOF once the parent's end closes.
     ``send`` may be called from several threads; ``recv`` from one.
     """
 
@@ -109,9 +119,13 @@ class WorkerProcess:
 
     def _spawn(self) -> None:
         parent_conn, child_conn = self._ctx.Pipe()
+        # Other start methods pickle the args, which would hand the child
+        # a fresh copy of parent_conn instead of the inherited one.
+        forked = self._ctx.get_start_method() == "fork"
         proc = self._ctx.Process(
-            target=self._target,
-            args=(self.rank, child_conn) + self._args,
+            target=_child_main,
+            args=(self._target, parent_conn if forked else None,
+                  self.rank, child_conn) + self._args,
             name=self.name,
             daemon=self._daemon,
         )

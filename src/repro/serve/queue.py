@@ -183,16 +183,3 @@ class PriorityJobQueue:
                 remaining.append(entry.item)
             self._not_empty.notify_all()
             return remaining
-
-    def wait_empty(self, timeout: float | None = None) -> bool:
-        """Block until no live entries remain (polling; test helper)."""
-        import time
-
-        end = None if timeout is None else time.monotonic() + timeout
-        while True:
-            with self._lock:
-                if self._live == 0:
-                    return True
-            if end is not None and time.monotonic() >= end:
-                return False
-            time.sleep(0.005)

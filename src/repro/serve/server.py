@@ -83,7 +83,9 @@ class ServeConfig:
     progress_every:
         Stream a progress message every N iterations (0 disables).
     poll_interval:
-        Tender pipe-poll granularity in seconds.
+        Seconds a tender waits on a silent worker's pipe before probing
+        that the process is still alive.  Replies wake the tender as
+        they arrive, so this does not add to a job's latency.
     start_method:
         ``multiprocessing`` start method for the worker pool, resolved
         by :func:`~repro.parallel.procworker.mp_context` (defaults to
@@ -193,7 +195,11 @@ class JobServer:
             else _budget.default_bytes_cap()
         )
         self._lock = threading.Lock()
+        # Notified by _finalize when the last queued or running job ends.
+        self._idle = threading.Condition(self._lock)
         self._jobs: dict[str, _Job] = {}
+        # Jobs per state, kept as jobs move so nothing rescans _jobs.
+        self._state_counts = dict.fromkeys(JobState, 0)
         self._seq = itertools.count(1)
         self._queue = PriorityJobQueue(config.queue_depth)
         self._closed = False
@@ -279,13 +285,18 @@ class JobServer:
             if self._closed:
                 raise ServerClosedError("server is shut down")
             self._jobs[job_id] = job
+            self._state_counts[JobState.QUEUED] += 1
         try:
             self._queue.put(job_id, job, priority=spec.priority, key=key)
         except QueueFullError:
             with self._lock:
                 self._shed += 1
-                del self._jobs[job_id]
+                self._forget(job)
             raise
+        except RuntimeError:  # shutdown() closed the queue after the check
+            with self._lock:
+                self._forget(job)
+            raise ServerClosedError("server is shut down") from None
         return JobHandle(self, job_id)
 
     def status(self, job_id: str) -> JobStatus:
@@ -366,9 +377,9 @@ class JobServer:
     def stats(self) -> dict:
         """Service metrics snapshot (JSON-ready)."""
         with self._lock:
-            states: dict[str, int] = {}
-            for job in self._jobs.values():
-                states[job.state.value] = states.get(job.state.value, 0) + 1
+            states = {
+                state.value: n for state, n in self._state_counts.items() if n
+            }
             return {
                 "queue_depth": len(self._queue),
                 "queue_bound": self.config.queue_depth,
@@ -407,18 +418,23 @@ class JobServer:
 
     def wait_idle(self, timeout: float | None = None) -> bool:
         """Block until the queue is empty and no job is running."""
-        end = None if timeout is None else _clock() + timeout
-        while True:
-            with self._lock:
-                busy = any(
-                    j.state in (JobState.QUEUED, JobState.RUNNING)
-                    for j in self._jobs.values()
-                )
-            if not busy:
-                return True
-            if end is not None and _clock() >= end:
-                return False
-            time.sleep(0.005)
+        with self._idle:
+            return self._idle.wait_for(self._is_idle, timeout)
+
+    # State bookkeeping; callers hold the server lock.
+
+    def _is_idle(self) -> bool:
+        counts = self._state_counts
+        return counts[JobState.QUEUED] + counts[JobState.RUNNING] == 0
+
+    def _move(self, job: _Job, state: JobState) -> None:
+        self._state_counts[job.state] -= 1
+        self._state_counts[state] += 1
+        job.state = state
+
+    def _forget(self, job: _Job) -> None:
+        del self._jobs[job.job_id]
+        self._state_counts[job.state] -= 1
 
     def shutdown(self, drain: bool = True, timeout: float | None = 30.0) -> None:
         """Stop the server.
@@ -434,12 +450,10 @@ class JobServer:
             self._closed = True
         if drain:
             self._resume.set()
-            self._queue.wait_empty(timeout)
-            remaining = self._queue.close()
-        else:
-            remaining = self._queue.close()
+            self.wait_idle(timeout)
+        remaining = self._queue.close()
         # Finalize dropped entries *before* waiting for idle — wait_idle
-        # watches job states, and these will never be dispatched.
+        # counts queued jobs, and these will never be dispatched.
         for job in remaining:
             self._finalize(job, JobState.CANCELLED, error="server shutdown")
         if not drain:
@@ -532,7 +546,7 @@ class JobServer:
         now = _clock()
         with self._lock:
             for job in jobs:
-                job.state = JobState.RUNNING
+                self._move(job, JobState.RUNNING)
                 job.started_at = now
                 job.handle = handle
                 job.batched = batched
@@ -694,7 +708,7 @@ class JobServer:
         with self._lock:
             if job.state.terminal:
                 return
-            job.state = state
+            self._move(job, state)
             job.finished_at = now
             job.error = error
             job.exception = exception
@@ -706,6 +720,8 @@ class JobServer:
                 self._failed += 1
             elif state is JobState.CANCELLED:
                 self._cancelled += 1
+            if self._is_idle():
+                self._idle.notify_all()
         job.done.set()
 
     # ------------------------------------------------------------------ #

@@ -3,10 +3,17 @@
 This module is the child side of one pool slot: :func:`serve_worker_main`
 runs inside a :class:`~repro.parallel.procworker.WorkerProcess` that the
 server owns.  It is deliberately simple — a message loop that runs **one
-job at a time** on a private thread while the loop itself keeps polling
-the pipe, so cancellation messages land mid-run and are delivered to the
-job through its :class:`~repro.util.cancel.CancelToken` (checked by the
-drivers at iteration boundaries).
+job at a time** on a private thread.  While the job runs, the loop blocks
+in :func:`multiprocessing.connection.wait` on two things at once: the
+pipe from the parent, and a wake pipe the job thread writes to when it
+ends.  A finished job's reply therefore goes out as soon as the job
+ends, with no poll interval in between, and cancellation messages still
+land mid-run; they reach the job through its
+:class:`~repro.util.cancel.CancelToken` (checked by the drivers at
+iteration boundaries).  Once the parent asks to stop or goes away, the
+loop stops listening to the pipe and only waits for the job to wind down.
+Before the loop starts, :func:`_warm_up` pays the first-call costs of a
+fresh process, so no real job does.
 
 Robustness contract (the fault-injection suite pins this):
 
@@ -33,6 +40,7 @@ import pickle
 import threading
 import time
 from contextlib import nullcontext
+from multiprocessing.connection import Pipe, wait
 
 import numpy as np
 
@@ -137,6 +145,57 @@ def _run_group(payload: dict, token) -> list[dict]:
     return results
 
 
+def _warm_up() -> None:
+    """Run one tiny solo and one tiny grouped job before taking work.
+
+    The first solver call in a fresh process imports modules and looks
+    up the BLAS thread control.  On a loaded two-core host that cost up
+    to ~70 ms, charged to whichever job happened to come first; paid
+    here, at worker start, no job sees it.  The replies are discarded.
+    """
+    from repro.util.cancel import CancelToken
+
+    data = np.arange(1.0, 25.0)
+    common = {
+        "job_id": "warm-up", "rank": 2, "shape": (4, 3, 2),
+        "n_iter_max": 1, "tol": 0.0, "num_threads": 1, "backend": None,
+        "trace": False,
+    }
+    _execute_payload(
+        {**common, "kind": "solo", "data": data, "ref": None,
+         "method": "auto", "seed": 0},
+        CancelToken(),
+    )
+    _execute_payload(
+        {**common, "kind": "group", "datas": [data, data[::-1].copy()],
+         "seeds": [0, 1]},
+        CancelToken(),
+    )
+
+
+def _pump(conn, wake, token, job_id: str) -> bool:
+    """Relay control messages to the running job until it ends.
+
+    Returns ``True`` when the job ended (its wake message is consumed),
+    ``False`` when the parent asked to stop or went away; the job has
+    then been cancelled and ``conn`` must not be read again.
+    """
+    while True:
+        ready = wait([conn, wake])
+        if wake in ready:
+            wake.recv_bytes()
+            return True
+        try:
+            ctl = pickle.loads(conn.recv_bytes())
+        except (EOFError, OSError):
+            ctl = ("stop",)
+        if ctl[0] == "stop":
+            token.cancel("server shutdown")
+            return False
+        if ctl[0] == "cancel" and ctl[1] == job_id:
+            token.cancel(ctl[2] if len(ctl) > 2 else "cancelled")
+
+
 def serve_worker_main(rank: int, conn) -> None:
     """Child-process entry: message loop around a one-job-at-a-time thread."""
     from repro.parallel.backend import reset_worker_runtime_state
@@ -149,6 +208,7 @@ def serve_worker_main(rank: int, conn) -> None:
     reset_worker_runtime_state(
         num_threads=None, blas_threads=None, leaf_worker=False
     )
+    _warm_up()
     send_lock = threading.Lock()
 
     def send(msg) -> None:
@@ -156,55 +216,51 @@ def serve_worker_main(rank: int, conn) -> None:
         with send_lock:
             conn.send_bytes(payload)
 
-    stop = False
-    while not stop:
-        try:
-            raw = conn.recv_bytes()
-        except (EOFError, OSError):
-            break
-        msg = pickle.loads(raw)
-        if msg[0] == "stop":
-            break
-        if msg[0] != "job":  # stale cancel for a finished job
-            continue
-        payload = msg[1]
-        job_id = payload["job_id"]
-        remaining = payload.get("timeout_remaining")
-        token = CancelToken(
-            deadline=None if remaining is None else _clock() + remaining
-        )
-        every = int(payload.get("progress_every") or 0)
-        if every > 0:
-            def on_progress(it, fit, job_id=job_id, every=every):
-                if it % every == 0:
-                    send(("progress", job_id, int(it), float(fit)))
-
-            token.on_progress = on_progress
-
-        reply_box: list = []
-
-        def run(payload=payload, token=token, box=reply_box) -> None:
-            box.append(_execute_payload(payload, token))
-
-        thread = threading.Thread(
-            target=run, name=f"repro-serve-job-{job_id}", daemon=True
-        )
-        thread.start()
-        # Pump the pipe while the job runs so cancellation lands mid-run.
-        while thread.is_alive():
-            if conn.poll(0.02):
-                try:
-                    ctl = pickle.loads(conn.recv_bytes())
-                except (EOFError, OSError):
-                    ctl = ("stop",)
-                if ctl[0] == "stop":
-                    token.cancel("server shutdown")
-                    stop = True
-                elif ctl[0] == "cancel" and ctl[1] == job_id:
-                    token.cancel(ctl[2] if len(ctl) > 2 else "cancelled")
-        thread.join()
-        if reply_box:
+    # One wake pipe per process: each job thread writes one message to it
+    # as it ends, and _pump consumes it.
+    wake, wake_send = Pipe(duplex=False)
+    with wake, wake_send:
+        listening = True
+        while listening:
             try:
-                send(reply_box[0])
-            except (OSError, ValueError):  # parent went away
+                raw = conn.recv_bytes()
+            except (EOFError, OSError):
                 break
+            msg = pickle.loads(raw)
+            if msg[0] == "stop":
+                break
+            if msg[0] != "job":  # stale cancel for a finished job
+                continue
+            payload = msg[1]
+            job_id = payload["job_id"]
+            remaining = payload.get("timeout_remaining")
+            token = CancelToken(
+                deadline=None if remaining is None else _clock() + remaining
+            )
+            every = int(payload.get("progress_every") or 0)
+            if every > 0:
+                def on_progress(it, fit, job_id=job_id, every=every):
+                    if it % every == 0:
+                        send(("progress", job_id, int(it), float(fit)))
+
+                token.on_progress = on_progress
+
+            reply_box: list = []
+
+            def run(payload=payload, token=token, box=reply_box) -> None:
+                try:
+                    box.append(_execute_payload(payload, token))
+                finally:
+                    wake_send.send_bytes(b"")
+
+            thread = threading.Thread(
+                target=run, name=f"repro-serve-job-{job_id}", daemon=True
+            )
+            thread.start()
+            listening = _pump(conn, wake, token, job_id)
+            thread.join()
+            if reply_box:
+                try:
+                    send(reply_box[0])
+                except (OSError, ValueError):  # parent went away
+                    break

@@ -136,6 +136,23 @@ class TestBlasThreads:
                 assert set_blas_threads(1) is False
         assert obs.counter_total(tracer, "blas.control_unavailable") == 2
 
+    def test_lookup_skips_system_search_when_numpy_blas_has_control(
+            self, monkeypatch):
+        import ctypes.util
+
+        from repro.parallel import blas
+
+        if get_blas_threads() is None:
+            pytest.skip("BLAS thread control unavailable")
+        monkeypatch.setattr(blas, "_searched", False)
+        monkeypatch.setattr(blas, "_controls", None)
+        monkeypatch.setattr(blas, "_control_expected", False)
+        searched = []
+        monkeypatch.setattr(ctypes.util, "find_library",
+                            lambda name: searched.append(name))
+        assert get_blas_threads() is not None
+        assert searched == []
+
 
 class TestBackendConfig:
     def teardown_method(self):

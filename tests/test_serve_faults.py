@@ -15,12 +15,14 @@ The serving robustness contract (ISSUE acceptance, pinned here):
 
 from __future__ import annotations
 
+import multiprocessing
 import time
 
 import numpy as np
 import pytest
 
 from repro.parallel.pool import WorkerError
+from repro.parallel.procworker import WorkerProcess, mp_context
 from repro.serve import (
     AdmissionError,
     BudgetError,
@@ -29,6 +31,7 @@ from repro.serve import (
     JobState,
     ServeConfig,
 )
+from repro.serve.worker import serve_worker_main
 from repro.tensor.dense import DenseTensor
 
 pytestmark = pytest.mark.serve
@@ -146,6 +149,39 @@ def test_dead_at_dispatch_retries_on_fresh_worker():
         )
         result = job.result(timeout=30.0)
         assert result.iterations == 3
+
+
+@pytest.mark.parametrize("start_method", sorted(
+    {"fork", "spawn"} & set(multiprocessing.get_all_start_methods())
+))
+def test_worker_exits_when_parent_closes_pipe_mid_job(start_method):
+    # The parent end of a worker's pipe closes while a multi-iteration
+    # job runs: the worker cancels the job, stops reading the dead pipe
+    # and returns, so the process exits cleanly instead of spinning.
+    spec = long_job_spec(seed=7)
+    worker = WorkerProcess(0, mp_context(start_method), serve_worker_main,
+                           daemon=False, name="repro-serve-worker-eof")
+    proc = worker._proc
+    try:
+        worker.send(("job", {
+            "kind": "solo", "job_id": "job-eof", "rank": spec.rank,
+            "data": spec.tensor.data, "shape": tuple(spec.tensor.shape),
+            "ref": None, "n_iter_max": spec.n_iter_max, "tol": spec.tol,
+            "method": spec.method, "num_threads": None, "backend": None,
+            "seed": spec.seed, "trace": False, "progress_every": 1,
+            "timeout_remaining": None,
+        }))
+        msg = None
+        end = time.monotonic() + 60.0
+        while msg is None and time.monotonic() < end:
+            msg = worker.recv(timeout=0.1)
+        assert msg is not None and msg[0] == "progress"  # the job runs
+        worker._conn.close()
+        proc.join(30.0)
+        assert not proc.is_alive(), "worker outlived its parent's pipe"
+        assert proc.exitcode == 0
+    finally:
+        worker.stop()
 
 
 # --------------------------------------------------------------------- #

@@ -15,7 +15,10 @@ Invariants pinned here (the ISSUE's acceptance scenario):
   :class:`~repro.serve.job.QueueFullError`, the queue never exceeds its
   bound, and shed submissions are counted;
 * **shutdown drains** — ``shutdown(drain=True)`` completes everything
-  admitted before it returns.
+  admitted before it returns;
+* **nothing waits on a poll** — a tiny job's reply leaves the worker
+  when the job ends, and ``wait_idle`` wakes when the last job ends
+  without walking the finished jobs the server retains.
 
 Sizes are tiny on purpose — the properties under test are scheduling
 properties, not numerics — so the suite stays green under
@@ -37,6 +40,7 @@ from repro.serve import (
     JobState,
     QueueFullError,
     ServeConfig,
+    ServerClosedError,
 )
 from repro.tensor.dense import DenseTensor
 
@@ -203,6 +207,124 @@ def test_cancel_running_job_lands_mid_load():
         assert queued.result(timeout=60.0).iterations == 2
 
 
+def long_job(seed: int) -> JobSpec:
+    """A solo job that runs until cancelled (tol=0 never converges)."""
+    rng_t = np.random.default_rng([SEED, 77, seed])
+    return JobSpec(
+        rank=4, tensor=DenseTensor(rng_t.standard_normal((16, 16, 16))),
+        seed=seed, n_iter_max=1_000_000, tol=0.0, batchable=False,
+    )
+
+
+def wait_running(server: JobServer, job_id: str) -> None:
+    deadline = time.monotonic() + 30.0
+    while server.status(job_id).state is not JobState.RUNNING:
+        assert time.monotonic() < deadline, f"{job_id} never started"
+        time.sleep(0.005)
+
+
+def test_reply_sent_when_job_ends_not_after_a_poll():
+    # A tiny job's reply leaves the worker as soon as the job ends.  A
+    # pump that polls its pipe on a fixed interval makes every job wait
+    # out the interval, which puts a floor under run_seconds.
+    with JobServer(ServeConfig(workers=1)) as server:
+        run_seconds = [
+            server.submit(JobSpec(
+                rank=4, tensor=make_tensor(700 + i, (6, 5, 4)), seed=i,
+                n_iter_max=3,
+            )).result(timeout=60.0).run_seconds
+            for i in range(10)
+        ]
+        assert min(run_seconds) < 0.010, run_seconds
+        # The same pump still delivers a cancel to a running job.
+        blocker = server.submit(long_job(seed=1))
+        wait_running(server, blocker.job_id)
+        assert blocker.cancel("mid-run")
+        assert blocker.wait(timeout=30.0)
+        assert blocker.status().state is JobState.CANCELLED
+
+
+def test_worker_warm_up_runs_both_job_kinds(monkeypatch):
+    # A worker pays its first-call costs before taking work by running
+    # one solo and one grouped job; both must succeed, or the first real
+    # jobs of each kind pay those costs after all.
+    from repro.serve import worker
+
+    replies = []
+    execute = worker._execute_payload
+    monkeypatch.setattr(
+        worker, "_execute_payload",
+        lambda payload, token: replies.append(execute(payload, token)),
+    )
+    worker._warm_up()
+    assert [r[0] for r in replies] == ["done", "done-group"], replies
+
+
+def test_wait_idle_wakes_when_last_job_ends():
+    with JobServer(ServeConfig(workers=1)) as server:
+        blocker = server.submit(long_job(seed=2))
+        wait_running(server, blocker.job_id)
+        returned: list = []
+        waiter = threading.Thread(target=lambda: returned.append(
+            (server.wait_idle(timeout=30.0), time.monotonic())
+        ))
+        waiter.start()
+        assert not server.wait_idle(timeout=0.05)
+        assert not returned
+        assert blocker.cancel("done waiting")
+        waiter.join(timeout=30.0)
+        assert not waiter.is_alive()
+        idle, returned_at = returned[0]
+        assert idle
+        finished_at = server.status(blocker.job_id).finished_at
+        assert returned_at - finished_at < 0.05
+
+
+class _NoScan(dict):
+    """A job table that fails any walk over its entries."""
+
+    def _walk(self, *args):
+        raise AssertionError("walked every retained job")
+
+    __iter__ = values = items = keys = _walk
+
+
+def test_wait_idle_and_stats_do_not_walk_retained_jobs():
+    # Their cost must not grow with the finished jobs a server retains.
+    n_jobs = 40
+    with JobServer(ServeConfig(workers=1, queue_depth=n_jobs)) as server:
+        handles = [
+            server.submit(JobSpec(rank=2, tensor=make_tensor(800 + i),
+                                  seed=i, n_iter_max=2))
+            for i in range(n_jobs)
+        ]
+        for handle in handles:
+            assert handle.wait(timeout=60.0)
+        retained = server._jobs
+        server._jobs = _NoScan(retained)
+        try:
+            assert server.wait_idle(timeout=5.0)
+            stats = server.stats()
+        finally:
+            server._jobs = retained
+        assert stats["states"] == {"done": n_jobs}
+        assert stats["admitted"] == n_jobs
+
+
+def test_submit_racing_shutdown_leaves_no_queued_job():
+    server = JobServer(ServeConfig(workers=1))
+    try:
+        # shutdown() closed the queue after submit() saw the server open.
+        server._queue.close()
+        with pytest.raises(ServerClosedError):
+            server.submit(JobSpec(rank=2, tensor=make_tensor(900), seed=0,
+                                  n_iter_max=2))
+        assert server.stats()["admitted"] == 0
+        assert server.wait_idle(timeout=1.0)
+    finally:
+        server.shutdown(timeout=10.0)
+
+
 def test_backpressure_sheds_past_depth_bound():
     depth = 8
     with JobServer(ServeConfig(workers=1, queue_depth=depth,
@@ -255,8 +377,6 @@ def test_fast_shutdown_cancels_queued_jobs():
     server.shutdown(drain=False, timeout=60.0)
     states = {h.status().state for h in handles}
     assert states == {JobState.CANCELLED}
-    from repro.serve import ServerClosedError
-
     with pytest.raises(ServerClosedError):
         server.submit(JobSpec(rank=2, tensor=make_tensor(9), seed=9,
                               n_iter_max=2))
